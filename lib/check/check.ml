@@ -10,7 +10,7 @@ module Dude_ptm = Dudetm_baselines.Dude_ptm
 module Mnemosyne = Dudetm_baselines.Mnemosyne
 module Nvml = Dudetm_baselines.Nvml
 
-exception Crash_now
+module C = Campaign
 
 (* ------------------------------------------------------------------ *)
 (* Systems under test                                                 *)
@@ -24,7 +24,12 @@ type instance = {
   recover : unit -> recovered;
 }
 
-type sut = { sut_name : string; sut_static : bool; fresh : unit -> instance }
+type sut = {
+  sut_name : string;
+  sut_fault : Config.fault;
+  sut_static : bool;
+  fresh : unit -> instance;
+}
 
 (* Small layouts keep a single checked run in the low milliseconds: the
    budgets below run hundreds of them. *)
@@ -49,18 +54,10 @@ let dude_cfg ~combine ~fault =
     fault;
   }
 
-let fault_suffix = function
-  | Config.No_fault -> ""
-  | Config.Early_durable_publish -> "+early-durable"
-  | Config.Unfenced_reproduce -> "+unfenced-reproduce"
-  | Config.Skip_crc_verify -> "+skip-crc-verify"
-  | Config.Skip_recovery_journal -> "+skip-recovery-journal"
-  | Config.Skip_fragment_gate -> "+skip-fragment-gate"
-  | Config.Skip_batch_seal -> "+skip-batch-seal"
-  | Config.Skip_quorum_gate -> "+skip-quorum-gate"
-  | Config.Skip_handoff_seal -> "+skip-handoff-seal"
-  | Config.Skip_snapshot_validate -> "+skip-snapshot-validate"
-  | Config.Skip_admission_gate -> "+skip-admission-gate"
+let sut_label sut =
+  match sut.sut_fault with
+  | Config.No_fault -> sut.sut_name
+  | f -> sut.sut_name ^ "+" ^ C.mutant_name f
 
 let dude_like name (ptm_of_cfg, attach_of_cfg) ?(fault = Config.No_fault) () =
   let cfg = dude_cfg ~combine:(name = "dude-combine") ~fault in
@@ -76,7 +73,7 @@ let dude_like name (ptm_of_cfg, attach_of_cfg) ?(fault = Config.No_fault) () =
           { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek });
     }
   in
-  { sut_name = name ^ fault_suffix fault; sut_static = false; fresh }
+  { sut_name = name; sut_fault = fault; sut_static = false; fresh }
 
 let stm_ctor = ((fun cfg -> Dude_ptm.Stm.ptm cfg), fun cfg nvm -> Dude_ptm.Stm.attach_ptm cfg nvm)
 
@@ -111,7 +108,7 @@ let mnemosyne () =
           { rec_durable = None; rec_peek = p.Ptm.peek });
     }
   in
-  { sut_name = "mnemosyne"; sut_static = false; fresh }
+  { sut_name = "mnemosyne"; sut_fault = Config.No_fault; sut_static = false; fresh }
 
 let nvml () =
   let cfg =
@@ -135,7 +132,7 @@ let nvml () =
           { rec_durable = None; rec_peek = p.Ptm.peek });
     }
   in
-  { sut_name = "nvml"; sut_static = true; fresh }
+  { sut_name = "nvml"; sut_fault = Config.No_fault; sut_static = true; fresh }
 
 let sut_names = [ "dude"; "dude-combine"; "dude-htm"; "mnemosyne"; "nvml" ]
 
@@ -267,19 +264,19 @@ let deep_budget =
 
 let quick_budget = base_budget
 
-let tier1_budget () =
-  if Sys.getenv_opt "DUDETM_CHECK_DEEP" = Some "1" then deep_budget
-  else
-    match Option.bind (Sys.getenv_opt "DUDETM_CHECK_BUDGET") int_of_string_opt with
-    | Some m when m > 1 ->
-      {
-        crash_sites = base_budget.crash_sites * m;
-        sched_seeds = base_budget.sched_seeds;
-        crash_sites_per_seed = base_budget.crash_sites_per_seed * m;
-        exhaustive_runs = base_budget.exhaustive_runs * m;
-        exhaustive_depth = base_budget.exhaustive_depth + 2;
-      }
-    | _ -> base_budget
+let engine_budget = function
+  | C.Deep -> deep_budget
+  | C.Scaled m when m > 1 ->
+    {
+      base_budget with
+      crash_sites = base_budget.crash_sites * m;
+      crash_sites_per_seed = base_budget.crash_sites_per_seed * m;
+      exhaustive_runs = base_budget.exhaustive_runs * m;
+      exhaustive_depth = base_budget.exhaustive_depth + 2;
+    }
+  | C.Quick | C.Scaled _ -> base_budget
+
+let tier1_budget () = engine_budget (C.env_level ())
 
 (* ------------------------------------------------------------------ *)
 (* One checked run                                                    *)
@@ -322,7 +319,6 @@ let strategy_of = function
 
 type outcome = {
   oc_sites : int;
-  oc_crashed : bool;
   oc_deadlock : string option;
   oc_committed : int;
   oc_acked : int;
@@ -342,23 +338,17 @@ type outcome = {
 let run_once ?evict ~sut ~wl ~strategy ~crash () =
   let inst = sut.fresh () in
   let p = inst.ptm in
-  let sites = ref 0 in
-  let crashed = ref false in
   let acked = ref 0 in
   let monitor_err = ref None in
   let committed = ref 0 in
+  (* Sampling the durable ID at the boundary captures exactly what was
+     acknowledged when the power goes out. *)
+  let sample () =
+    let d = p.Ptm.durable_id () in
+    if d > !acked then acked := d
+  in
+  let cut = C.cutter ~sample ?at:crash [ inst.inst_nvm ] in
   let main () =
-    (* Installed only now: device formatting during [fresh] happens before
-       any transaction exists, so its persists are not crash candidates. *)
-    Nvm.set_persist_hook inst.inst_nvm
-      (Some
-         (fun () ->
-           incr sites;
-           (* Sampling the durable ID at the boundary captures exactly what
-              was acknowledged when the power goes out. *)
-           let d = p.Ptm.durable_id () in
-           if d > !acked then acked := d;
-           match crash with Some k when !sites = k -> raise Crash_now | _ -> ()));
     p.Ptm.start ();
     let last_d = ref 0 in
     ignore
@@ -393,16 +383,13 @@ let run_once ?evict ~sut ~wl ~strategy ~crash () =
     p.Ptm.drain ();
     p.Ptm.stop ()
   in
-  let deadlock = ref None in
-  (try ignore (Sched.run ~strategy main) with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> deadlock := Some ("deadlock: " ^ msg)
-  | e -> deadlock := Some ("engine raised " ^ Printexc.to_string e));
+  (* Armed only now: device formatting during [fresh] happens before any
+     transaction exists, so its persists are not crash candidates. *)
+  let ended = C.cut_run cut (fun () -> Sched.run ~strategy main) in
+  let deadlock = ref (C.error ~who:"engine" ended) in
   (* Nothing ran since the cut, so this still reads the pre-crash value. *)
-  let d = p.Ptm.durable_id () in
-  if d > !acked then acked := d;
+  sample ();
   let last_tid = p.Ptm.last_tid () in
-  Nvm.set_persist_hook inst.inst_nvm None;
   (match evict with
   | Some (fraction, seed) ->
     Nvm.crash ~evict_fraction:fraction ~rng:(Rng.create seed) inst.inst_nvm
@@ -415,8 +402,7 @@ let run_once ?evict ~sut ~wl ~strategy ~crash () =
       { rec_durable = None; rec_peek = (fun _ -> 0L) }
   in
   {
-    oc_sites = !sites;
-    oc_crashed = !crashed;
+    oc_sites = cut.seen;
     oc_deadlock = !deadlock;
     oc_committed = !committed;
     oc_acked = !acked;
@@ -473,49 +459,6 @@ let count_sites sut wl ~sched =
 (* Exploration                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type failure = {
-  f_system : string;
-  f_workload : string;
-  f_threads : int;
-  f_txs : int;
-  f_sched : sched_spec;
-  f_crash : int option;
-  f_evict : (float * int) option;
-  f_survivors : int list;
-  f_reason : string;
-}
-
-type report = Pass of { runs : int; sites : int } | Fail of failure
-
-let replay_line f =
-  (* "dude+early-durable" round-trips as --system dude --mutate early-durable *)
-  let system, mutate =
-    match String.index_opt f.f_system '+' with
-    | None -> (f.f_system, "")
-    | Some i ->
-      ( String.sub f.f_system 0 i,
-        " --mutate " ^ String.sub f.f_system (i + 1) (String.length f.f_system - i - 1) )
-  in
-  Printf.sprintf "dudetm check --system %s%s --workload %s --threads %d --txs %d --sched %s%s%s%s"
-    system mutate f.f_workload f.f_threads f.f_txs (sched_to_string f.f_sched)
-    (match f.f_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-    (match f.f_evict with
-    | None -> ""
-    | Some (fr, seed) -> Printf.sprintf " --evict %g --evict-seed %d" fr seed)
-    (match (f.f_evict, f.f_survivors) with
-    | Some _, [] -> "  # no dirty lines survived the cut"
-    | Some _, l ->
-      "  # surviving lines: " ^ String.concat "," (List.map string_of_int l)
-    | None, _ -> "")
-
-(* Up to [n] boundaries out of [1..s], always covering both ends. *)
-let sample_sites ~s ~n =
-  if s <= 0 || n <= 0 then []
-  else if s <= n then List.init s (fun i -> i + 1)
-  else if n = 1 then [ 1 ]
-  else
-    List.sort_uniq compare (List.init n (fun i -> 1 + (i * (s - 1) / (n - 1))))
-
 (* First failing case under one schedule: the quiescent run first (it also
    counts boundaries), then crash boundaries in ascending order. *)
 let first_failing ?evict ~sut ~wl ~spec ~max_sites ~sample ~runs ~sites_total () =
@@ -526,7 +469,7 @@ let first_failing ?evict ~sut ~wl ~spec ~max_sites ~sample ~runs ~sites_total ()
   | Some r -> Some (None, r)
   | None ->
     let site_list =
-      if sample then sample_sites ~s:o0.oc_sites ~n:max_sites
+      if sample then C.sample_sites ~s:o0.oc_sites ~n:max_sites
       else List.init (min o0.oc_sites max_sites) (fun i -> i + 1)
     in
     List.fold_left
@@ -583,17 +526,34 @@ let shrink ?evict ~sut ~wl ~spec ~crash ~reason ~runs ~sites_total () =
   | _ -> ());
   !best
 
+(* The engine's replayable coordinates: system, workload, schedule and
+   eviction adversary; the crash boundary is the failure's only cut.  The
+   dirty lines that leaked in the failing run make the eviction exactly
+   replayable together with its seed. *)
 let fail_of ~sut ?evict ?(survivors = []) (wl, spec, crash, reason) =
+  let evict_args, reason =
+    match evict with
+    | None -> ([], reason)
+    | Some (fr, seed) ->
+      ( [ ("--evict", Printf.sprintf "%g" fr); ("--evict-seed", string_of_int seed) ],
+        Printf.sprintf "%s (surviving lines: %s)" reason
+          (if survivors = [] then "none" else String.concat "," (List.map string_of_int survivors))
+      )
+  in
   {
-    f_system = sut.sut_name;
-    f_workload = wl.wl_name;
-    f_threads = wl.threads;
-    f_txs = wl.txs_per_thread;
-    f_sched = spec;
-    f_crash = crash;
-    f_evict = evict;
-    f_survivors = survivors;
-    f_reason = reason;
+    C.campaign = C.Engine;
+    fault = sut.sut_fault;
+    args =
+      [
+        ("--system", sut.sut_name);
+        ("--workload", wl.wl_name);
+        ("--threads", string_of_int wl.threads);
+        ("--txs", string_of_int wl.txs_per_thread);
+        ("--sched", sched_to_string spec);
+      ]
+      @ evict_args;
+    cuts = C.cuts_of [ crash ];
+    reason;
   }
 
 let take n l =
@@ -646,7 +606,7 @@ let check_system ?(budget = tier1_budget ()) ?(log = fun _ -> ()) ?evict sut wls
   let runs = ref 0 in
   let sites_total = ref 0 in
   let failure = ref None in
-  let note wl what = log (Printf.sprintf "%s/%s: %s" sut.sut_name wl.wl_name what) in
+  let note wl what = log (Printf.sprintf "%s/%s: %s" (sut_label sut) wl.wl_name what) in
   List.iter
     (fun wl ->
       if !failure = None then begin
@@ -683,7 +643,7 @@ let check_system ?(budget = tier1_budget ()) ?(log = fun _ -> ()) ?evict sut wls
       end)
     wls;
   match !failure with
-  | None -> Pass { runs = !runs; sites = !sites_total }
+  | None -> C.Pass { runs = !runs; boundaries = !sites_total; tallies = [] }
   | Some (wl, spec, crash, reason) ->
     note wl (Printf.sprintf "FAILED (%s); shrinking" reason);
     let bwl, bspec, bcrash, breason =
@@ -698,7 +658,7 @@ let check_system ?(budget = tier1_budget ()) ?(log = fun _ -> ()) ?evict sut wls
         incr runs;
         (snd (run_and_verify ?evict ~sut ~wl:bwl ~spec:bspec ~crash:bcrash ())).oc_survivors
     in
-    Fail (fail_of ~sut ?evict ~survivors (bwl, bspec, bcrash, breason))
+    C.Fail (fail_of ~sut ?evict ~survivors (bwl, bspec, bcrash, breason))
 
 (* ------------------------------------------------------------------ *)
 (* Media-fault campaign                                               *)
@@ -712,28 +672,6 @@ let media_mode_of_string = function
   | "heap" -> Heap_rot
   | "mixed" -> Mixed
   | s -> invalid_arg ("Check.media_mode_of_string: unknown fault mix " ^ s)
-
-type media_failure = {
-  mf_mode : media_mode;
-  mf_seed : int;
-  mf_crash : int option;
-  mf_fault : Config.fault;
-  mf_faults : string;
-  mf_reason : string;
-}
-
-type media_report = Media_pass of { runs : int; injected : int } | Media_fail of media_failure
-
-let media_replay_line mf =
-  Printf.sprintf "dudetm check --media%s --media-seed %d --faults %s%s  # injected: %s"
-    (match mf.mf_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    mf.mf_seed (media_mode_to_string mf.mf_mode)
-    (match mf.mf_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-    mf.mf_faults
 
 (* Live state of the [counter] workload lives in bytes [0, 72) of the heap
    (the root counter plus 8 slots), so a flip there always corrupts
@@ -812,7 +750,7 @@ let inject_faults cfg nvm ~mode ~seed ~descrs =
    scrub (non-clean report) or by recovery itself (corrupted records /
    quarantined lines).  Undetected corruption that changes visible state is
    the only way to fail. *)
-let media_case ~fault ~mode ~seed ~crash ~runs ~injected =
+let media_case ~fault ~mode ~seed ~crash ~runs ~boundaries ~injected =
   let cfg = dude_cfg ~combine:false ~fault in
   let wl = counter ~threads:3 ~txs:4 in
   let descrs = ref [] in
@@ -840,60 +778,64 @@ let media_case ~fault ~mode ~seed ~crash ~runs ~injected =
           end);
     }
   in
-  let sut = { sut_name = "dude" ^ fault_suffix fault; sut_static = false; fresh } in
+  let sut = { sut_name = "dude"; sut_fault = fault; sut_static = false; fresh } in
   incr runs;
   let o = run_once ~sut ~wl ~strategy:Sched.min_clock ~crash () in
+  boundaries := !boundaries + o.oc_sites;
   match verify ~wl ~quiescent:false o with
   | Some reason when not !reported ->
     Some
       {
-        mf_mode = mode;
-        mf_seed = seed;
-        mf_crash = crash;
-        mf_fault = fault;
-        mf_faults = String.concat " " (List.rev !descrs);
-        mf_reason = reason;
+        C.campaign = C.Media;
+        fault;
+        args = [ ("--media-seed", string_of_int seed); ("--faults", media_mode_to_string mode) ];
+        cuts = C.cuts_of [ crash ];
+        reason =
+          Printf.sprintf "%s (injected: %s)" reason (String.concat " " (List.rev !descrs));
       }
   | _ -> None
 
-let default_media_seeds = 6
-
-let check_media ?(fault = Config.No_fault) ?(seeds = default_media_seeds) ?(log = fun _ -> ())
-    ?mode ?media_seed ?crash () =
-  let runs = ref 0 in
-  let injected = ref 0 in
-  match (mode, media_seed) with
-  | Some mode, Some seed -> (
-    (* Exact replay of one failure one-liner. *)
-    match media_case ~fault ~mode ~seed ~crash ~runs ~injected with
-    | Some mf -> Media_fail mf
-    | None -> Media_pass { runs = !runs; injected = !injected })
-  | _ ->
-    (* Boundary count under the campaign schedule, measured once, gives a
-       deterministic seed-derived crash point for the mid-run cases. *)
-    let sut0 = dude ~fault () in
-    let wl0 = counter ~threads:3 ~txs:4 in
-    let sites = count_sites sut0 wl0 ~sched:Default in
-    let result = ref None in
-    let seed = ref 1 in
-    while !result = None && !seed <= seeds do
-      let s = !seed in
-      log (Printf.sprintf "media: seed %d, heap rot at quiescence" s);
-      result := media_case ~fault ~mode:Heap_rot ~seed:s ~crash:None ~runs ~injected;
-      if !result = None then begin
-        log (Printf.sprintf "media: seed %d, mixed faults at quiescence" s);
-        result := media_case ~fault ~mode:Mixed ~seed:s ~crash:None ~runs ~injected
-      end;
-      if !result = None then begin
-        let k = 1 + (s * 7919 mod max 1 sites) in
-        log (Printf.sprintf "media: seed %d, mixed faults at crash boundary %d" s k);
-        result := media_case ~fault ~mode:Mixed ~seed:s ~crash:(Some k) ~runs ~injected
-      end;
-      incr seed
-    done;
-    (match !result with
-    | None -> Media_pass { runs = !runs; injected = !injected }
-    | Some mf -> Media_fail mf)
+(* Exactly one case when [replay] names it; otherwise, per seed, heap rot
+   and mixed faults at quiescence, then mixed faults at a seed-derived
+   crash boundary. *)
+let check_media ~fault ~seeds ~log ~replay =
+  let runs = ref 0 and boundaries = ref 0 and injected = ref 0 in
+  let case = media_case ~fault ~runs ~boundaries ~injected in
+  let result =
+    match replay with
+    | Some (mode, seed, crash) -> case ~mode ~seed ~crash
+    | None ->
+      (* Boundary count under the campaign schedule, measured once, gives a
+         deterministic seed-derived crash point for the mid-run cases. *)
+      let sites = count_sites (dude ~fault ()) (counter ~threads:3 ~txs:4) ~sched:Default in
+      let rec go s =
+        if s > seeds then None
+        else begin
+          let k = 1 + (s * 7919 mod max 1 sites) in
+          let cases =
+            [
+              ("heap rot at quiescence", Heap_rot, None);
+              ("mixed faults at quiescence", Mixed, None);
+              (Printf.sprintf "mixed faults at crash boundary %d" k, Mixed, Some k);
+            ]
+          in
+          match
+            List.find_map
+              (fun (what, mode, crash) ->
+                log (Printf.sprintf "media: seed %d, %s" s what);
+                case ~mode ~seed:s ~crash)
+              cases
+          with
+          | Some f -> Some f
+          | None -> go (s + 1)
+        end
+      in
+      go 1
+  in
+  match result with
+  | Some f -> C.Fail f
+  | None ->
+    C.Pass { runs = !runs; boundaries = !boundaries; tallies = [ ("faults injected", !injected) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Nested-crash recovery campaign                                     *)
@@ -922,30 +864,14 @@ let quick_recovery_budget =
 let smoke_recovery_budget =
   { rec_seeds = 1; rec_attach_sites = 16; rec_scrub_sites = 8; rec_deep_points = 1; rec_deep_sites = 2 }
 
-type recovery_failure = {
-  rcf_fault : Config.fault;
-  rcf_crash : int option;
-  rcf_leg : recovery_leg;
-  rcf_crash2 : int option;
-  rcf_crash3 : int option;
-  rcf_reason : string;
-}
-
-type recovery_report =
-  | Recovery_pass of { runs : int; boundaries : int }
-  | Recovery_fail of recovery_failure
-
-let recovery_replay_line rcf =
-  Printf.sprintf "dudetm check --recovery%s%s --leg %s%s%s"
-    (match rcf.rcf_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    (match rcf.rcf_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-    (leg_to_string rcf.rcf_leg)
-    (match rcf.rcf_crash2 with None -> "" | Some k -> Printf.sprintf " --crash2 %d" k)
-    (match rcf.rcf_crash3 with None -> "" | Some k -> Printf.sprintf " --crash3 %d" k)
+let recovery_fail ~fault ~crash ~leg ?crash2 ?crash3 reason =
+  {
+    C.campaign = C.Recovery;
+    fault;
+    args = [ ("--leg", leg_to_string leg) ];
+    cuts = C.cuts_of [ crash; crash2; crash3 ];
+    reason;
+  }
 
 let recovery_workload () = counter ~threads:3 ~txs:4
 
@@ -966,7 +892,9 @@ let crashed_image ~cfg ~wl ~crash =
       recover = (fun () -> { rec_durable = None; rec_peek = (fun _ -> 0L) });
     }
   in
-  let sut = { sut_name = "dude-recovery"; sut_static = false; fresh } in
+  let sut =
+    { sut_name = "dude-recovery"; sut_fault = cfg.Config.fault; sut_static = false; fresh }
+  in
   let o = run_once ~sut ~wl ~strategy:Sched.min_clock ~crash () in
   (Option.get !nvm_ref, o)
 
@@ -974,25 +902,13 @@ let crashed_image ~cfg ~wl ~crash =
    cuts power at the [k]-th persist boundary *inside the step* (the device
    then loses its volatile state, exactly like a mid-run power cut);
    [None] just counts boundaries.  Recovery runs outside [Sched.run], so
-   only the NVM hook is involved. *)
-let recovery_step nvm ~crash f =
-  let sites = ref 0 in
-  Nvm.set_persist_hook nvm
-    (Some
-       (fun () ->
-         incr sites;
-         match crash with Some k when !sites = k -> raise Crash_now | _ -> ()));
-  match f () with
-  | () ->
-    Nvm.set_persist_hook nvm None;
-    `Completed !sites
-  | exception Crash_now ->
-    Nvm.set_persist_hook nvm None;
-    Nvm.crash nvm;
-    `Cut
-  | exception e ->
-    Nvm.set_persist_hook nvm None;
-    `Raised e
+   only the NVM hook is involved.  [Ok boundaries seen], or [Error] when
+   the step raised. *)
+let recovery_step nvm ~crash ~who f =
+  let cut = C.cutter ?at:crash [ nvm ] in
+  let ended = C.cut_run cut f in
+  (match ended with C.Cut -> Nvm.crash nvm | _ -> ());
+  match C.error ~who ended with Some e -> Error e | None -> Ok cut.seen
 
 let run_leg cfg nvm = function
   | Attach_leg -> ignore (Dude_ptm.Stm.attach_ptm cfg nvm)
@@ -1015,17 +931,7 @@ let recovery_case ~fault ~crash ~leg ~crash2 ~crash3 ~baseline ~runs =
   let wl = recovery_workload () in
   incr runs;
   let nvm, o = crashed_image ~cfg ~wl ~crash in
-  let fail reason =
-    Some
-      {
-        rcf_fault = fault;
-        rcf_crash = crash;
-        rcf_leg = leg;
-        rcf_crash2 = crash2;
-        rcf_crash3 = crash3;
-        rcf_reason = reason;
-      }
-  in
+  let fail reason = Some (recovery_fail ~fault ~crash ~leg ?crash2 ?crash3 reason) in
   match o.oc_deadlock with
   | Some m -> fail m
   | None -> (
@@ -1034,18 +940,12 @@ let recovery_case ~fault ~crash ~leg ~crash2 ~crash3 ~baseline ~runs =
       @ match crash3 with None -> [] | Some k -> [ (Attach_leg, k) ]
     in
     let cut_err =
-      List.fold_left
-        (fun err (l, k) ->
-          match err with
-          | Some _ -> err
-          | None -> (
-            match recovery_step nvm ~crash:(Some k) (fun () -> run_leg cfg nvm l) with
-            | `Cut | `Completed _ -> None
-            | `Raised e ->
-              Some
-                (Printf.sprintf "%s cut at boundary %d raised %s" (leg_to_string l) k
-                   (Printexc.to_string e))))
-        None cuts
+      List.find_map
+        (fun (l, k) ->
+          let who = Printf.sprintf "%s cut at boundary %d" (leg_to_string l) k in
+          Result.fold ~ok:(fun _ -> None) ~error:Option.some
+            (recovery_step nvm ~crash:(Some k) ~who (fun () -> run_leg cfg nvm l)))
+        cuts
     in
     match cut_err with
     | Some reason -> fail reason
@@ -1064,9 +964,7 @@ let recovery_case ~fault ~crash ~leg ~crash2 ~crash3 ~baseline ~runs =
               oc_recov = { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek };
             }
           in
-          (match verify ~wl ~quiescent:(crash = None) o with
-          | Some reason -> fail reason
-          | None -> None)))
+          Option.bind (verify ~wl ~quiescent:(crash = None) o) fail))
 
 (* Baseline verdict and per-leg boundary count for one crash point, each
    measured on its own fresh image. *)
@@ -1076,168 +974,132 @@ let recovery_baseline ~fault ~crash ~runs =
   incr runs;
   let nvm, _ = crashed_image ~cfg ~wl ~crash in
   let baseline = ref None in
-  match
-    recovery_step nvm ~crash:None (fun () ->
-        let _, _, report = Dude_ptm.Stm.attach_ptm cfg nvm in
-        baseline := Some report)
-  with
-  | `Completed b -> Ok (Option.get !baseline, b)
-  | `Cut -> assert false
-  | `Raised e -> Error ("uninterrupted attach raised " ^ Printexc.to_string e)
+  recovery_step nvm ~crash:None ~who:"uninterrupted attach" (fun () ->
+      let _, _, report = Dude_ptm.Stm.attach_ptm cfg nvm in
+      baseline := Some report)
+  |> Result.map (fun b -> (Option.get !baseline, b))
 
 let count_leg_boundaries ~fault ~crash ~leg ~pre ~runs =
   let cfg = dude_cfg ~combine:false ~fault in
   let wl = recovery_workload () in
   incr runs;
   let nvm, _ = crashed_image ~cfg ~wl ~crash in
-  let pre_err =
+  let pre_step =
     match pre with
-    | None -> None
-    | Some (l, k) -> (
-      match recovery_step nvm ~crash:(Some k) (fun () -> run_leg cfg nvm l) with
-      | `Cut | `Completed _ -> None
-      | `Raised e -> Some (Printexc.to_string e))
+    | None -> Ok 0
+    | Some (l, k) ->
+      recovery_step nvm ~crash:(Some k) ~who:(leg_to_string l) (fun () -> run_leg cfg nvm l)
   in
-  match pre_err with
-  | Some e -> Error e
-  | None -> (
-    match recovery_step nvm ~crash:None (fun () -> run_leg cfg nvm leg) with
-    | `Completed b -> Ok b
-    | `Cut -> assert false
-    | `Raised e -> Error (leg_to_string leg ^ " raised " ^ Printexc.to_string e))
+  Result.bind pre_step (fun _ ->
+      recovery_step nvm ~crash:None ~who:(leg_to_string leg) (fun () -> run_leg cfg nvm leg))
 
 (* The scrub leg has far more boundaries than the attach leg (the
    stuck-line probe sweep touches every heap line), so it is sampled; the
    first boundaries are always included because they cover the probes of
    the workload's live lines — the exact window the
    [Skip_recovery_journal] mutant corrupts. *)
-let scrub_sites ~s ~n = List.sort_uniq compare (sample_sites ~s ~n @ sample_sites ~s:(min s 8) ~n:8)
+let scrub_sites ~s ~n =
+  List.sort_uniq compare (C.sample_sites ~s ~n @ C.sample_sites ~s:(min s 8) ~n:8)
 
-let check_recovery ?(fault = Config.No_fault) ?(budget = quick_recovery_budget)
-    ?(log = fun _ -> ()) ?leg ?crash ?crash2 ?crash3 () =
+exception Recovery_failed of C.failure
+
+(* Exactly one nested-crash case when [leg] names it; otherwise, for each
+   first power cut (quiescence plus seed-derived boundaries) and each leg,
+   cut the leg at its sampled boundaries, then — two deep — cut the
+   recovery of a few of those crashed recoveries. *)
+let check_recovery ~fault ~budget ~log ~leg ~cuts =
   let runs = ref 0 in
   let boundaries = ref 0 in
-  match leg with
-  | Some leg -> (
-    (* Exact replay of one failure one-liner. *)
-    match recovery_baseline ~fault ~crash ~runs with
-    | Error reason ->
-      Recovery_fail
-        { rcf_fault = fault; rcf_crash = crash; rcf_leg = leg; rcf_crash2 = crash2;
-          rcf_crash3 = crash3; rcf_reason = reason }
-    | Ok (baseline, _) -> (
-      match recovery_case ~fault ~crash ~leg ~crash2 ~crash3 ~baseline ~runs with
-      | Some rcf -> Recovery_fail rcf
-      | None -> Recovery_pass { runs = !runs; boundaries = !boundaries }))
-  | None ->
-    let sut0 = dude ~fault () in
-    let wl0 = recovery_workload () in
-    let sites = count_sites sut0 wl0 ~sched:Default in
-    runs := !runs + 1;
-    let crash_points =
-      None :: List.init budget.rec_seeds (fun i -> Some (1 + ((i + 1) * 7919 mod max 1 sites)))
-    in
-    let result = ref None in
-    let fail_with ~crash ~leg ~crash2 ~crash3 reason =
-      result :=
-        Some
-          { rcf_fault = fault; rcf_crash = crash; rcf_leg = leg; rcf_crash2 = crash2;
-            rcf_crash3 = crash3; rcf_reason = reason }
-    in
-    let point_name = function None -> "quiescence" | Some k -> Printf.sprintf "boundary %d" k in
+  let check = function Some f -> raise (Recovery_failed f) | None -> () in
+  let ok ~crash ~leg ?crash2 = function
+    | Ok v -> v
+    | Error reason -> raise (Recovery_failed (recovery_fail ~fault ~crash ~leg ?crash2 reason))
+  in
+  let sweep_point crash =
+    let baseline, attach_b = ok ~crash ~leg:Attach_leg (recovery_baseline ~fault ~crash ~runs) in
     List.iter
-      (fun crash ->
-        if !result = None then
-          match recovery_baseline ~fault ~crash ~runs with
-          | Error reason -> fail_with ~crash ~leg:Attach_leg ~crash2:None ~crash3:None reason
-          | Ok (baseline, attach_b) ->
+      (fun leg ->
+        let b =
+          if leg = Attach_leg then attach_b
+          else ok ~crash ~leg (count_leg_boundaries ~fault ~crash ~leg ~pre:None ~runs)
+        in
+        boundaries := !boundaries + b;
+        let k2s =
+          match leg with
+          | Attach_leg -> C.sample_sites ~s:b ~n:budget.rec_attach_sites
+          | Scrub_leg -> scrub_sites ~s:b ~n:budget.rec_scrub_sites
+        in
+        log
+          (Printf.sprintf "recovery: power cut at %s, %s leg: %d of %d boundaries"
+             (match crash with None -> "quiescence" | Some k -> Printf.sprintf "boundary %d" k)
+             (leg_to_string leg) (List.length k2s) b);
+        List.iter
+          (fun k2 ->
+            check (recovery_case ~fault ~crash ~leg ~crash2:(Some k2) ~crash3:None ~baseline ~runs))
+          k2s;
+        (* Two deep: crash the recovery of a crashed recovery. *)
+        List.iter
+          (fun k2 ->
+            let b2 =
+              ok ~crash ~leg ~crash2:k2
+                (count_leg_boundaries ~fault ~crash ~leg:Attach_leg ~pre:(Some (leg, k2)) ~runs)
+            in
             List.iter
-              (fun leg ->
-                if !result = None then begin
-                  let b =
-                    if leg = Attach_leg then Ok attach_b
-                    else count_leg_boundaries ~fault ~crash ~leg ~pre:None ~runs
-                  in
-                  match b with
-                  | Error reason -> fail_with ~crash ~leg ~crash2:None ~crash3:None reason
-                  | Ok b ->
-                    boundaries := !boundaries + b;
-                    let k2s =
-                      match leg with
-                      | Attach_leg -> sample_sites ~s:b ~n:budget.rec_attach_sites
-                      | Scrub_leg -> scrub_sites ~s:b ~n:budget.rec_scrub_sites
-                    in
-                    log
-                      (Printf.sprintf "recovery: power cut at %s, %s leg: %d of %d boundaries"
-                         (point_name crash) (leg_to_string leg) (List.length k2s) b);
-                    List.iter
-                      (fun k2 ->
-                        if !result = None then
-                          match
-                            recovery_case ~fault ~crash ~leg ~crash2:(Some k2) ~crash3:None
-                              ~baseline ~runs
-                          with
-                          | Some rcf -> result := Some rcf
-                          | None -> ())
-                      k2s;
-                    (* Two deep: crash the recovery of a crashed recovery. *)
-                    if !result = None then
-                      List.iter
-                        (fun k2 ->
-                          if !result = None then
-                            match
-                              count_leg_boundaries ~fault ~crash ~leg:Attach_leg
-                                ~pre:(Some (leg, k2)) ~runs
-                            with
-                            | Error reason ->
-                              fail_with ~crash ~leg ~crash2:(Some k2) ~crash3:None reason
-                            | Ok b2 ->
-                              List.iter
-                                (fun k3 ->
-                                  if !result = None then
-                                    match
-                                      recovery_case ~fault ~crash ~leg ~crash2:(Some k2)
-                                        ~crash3:(Some k3) ~baseline ~runs
-                                    with
-                                    | Some rcf -> result := Some rcf
-                                    | None -> ())
-                                (sample_sites ~s:b2 ~n:budget.rec_deep_sites))
-                        (sample_sites ~s:(List.length k2s) ~n:budget.rec_deep_points
-                        |> List.map (fun i -> List.nth k2s (i - 1)))
-                end)
-              [ Attach_leg; Scrub_leg ])
-      crash_points;
-    (match !result with
-    | None -> Recovery_pass { runs = !runs; boundaries = !boundaries }
-    | Some rcf -> Recovery_fail rcf)
+              (fun k3 ->
+                check
+                  (recovery_case ~fault ~crash ~leg ~crash2:(Some k2) ~crash3:(Some k3) ~baseline
+                     ~runs))
+              (C.sample_sites ~s:b2 ~n:budget.rec_deep_sites))
+          (C.sample_sites ~s:(List.length k2s) ~n:budget.rec_deep_points
+          |> List.map (fun i -> List.nth k2s (i - 1))))
+      [ Attach_leg; Scrub_leg ]
+  in
+  match
+    match leg with
+    | Some leg ->
+      let crash = C.cut_at cuts 0 in
+      let baseline, b = ok ~crash ~leg (recovery_baseline ~fault ~crash ~runs) in
+      boundaries := b;
+      check
+        (recovery_case ~fault ~crash ~leg ~crash2:(C.cut_at cuts 1) ~crash3:(C.cut_at cuts 2)
+           ~baseline ~runs)
+    | None ->
+      let sites = count_sites (dude ~fault ()) (recovery_workload ()) ~sched:Default in
+      incr runs;
+      List.iter sweep_point
+        (None :: List.init budget.rec_seeds (fun i -> Some (1 + ((i + 1) * 7919 mod max 1 sites))))
+  with
+  | () -> C.Pass { runs = !runs; boundaries = !boundaries; tallies = [] }
+  | exception Recovery_failed f -> C.Fail f
 
 (* ------------------------------------------------------------------ *)
 (* Daemon fault-injection campaign                                    *)
 (* ------------------------------------------------------------------ *)
 
-type daemon_failure = { df_seed : int; df_crash : int option; df_rate : float; df_reason : string }
-
-type daemon_report =
-  | Daemon_pass of { runs : int; faults : int; restarts : int }
-  | Daemon_fail of daemon_failure
-
-let daemon_replay_line df =
-  Printf.sprintf "dudetm check --daemons --daemon-seed %d --fault-rate %g%s" df.df_seed df.df_rate
-    (match df.df_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-
-let default_daemon_rate = 0.25
-
 (* Transient Persist/Reproduce worker failures must be invisible: with the
    supervisor restarting crashed daemons from their persistent positions,
    every run must still satisfy the ordinary crash oracle (and a quiescent
    run must still drain completely) — only the restart counters may move.
-   The sweep is vacuous if no daemon ever restarted, so that fails too. *)
-let check_daemons ?(seeds = 4) ?(rate = default_daemon_rate) ?(log = fun _ -> ()) ?only_seed
-    ?crash () =
-  let runs = ref 0 in
+   The sweep is vacuous if no daemon ever restarted, so that fails too,
+   and its replay line is the sweep itself.  [only_seed] replays one
+   case. *)
+let check_daemons ~seeds ~rate ~log ~only_seed ~cuts =
+  let runs = ref 0 and boundaries = ref 0 in
   let faults = ref 0 in
   let restarts = ref 0 in
-  let result = ref None in
+  let fail ?seed ?crash reason =
+    let seed_arg =
+      Option.fold seed ~none:[] ~some:(fun s -> [ ("--daemon-seed", string_of_int s) ])
+    in
+    Some
+      {
+        C.campaign = C.Daemons;
+        fault = Config.No_fault;
+        args = seed_arg @ [ ("--fault-rate", Printf.sprintf "%g" rate) ];
+        cuts = C.cuts_of [ crash ];
+        reason;
+      }
+  in
   let one ~seed ~crash =
     let cfg =
       {
@@ -1260,83 +1122,51 @@ let check_daemons ?(seeds = 4) ?(rate = default_daemon_rate) ?(log = fun _ -> ()
             { rec_durable = Some report.Dudetm.durable; rec_peek = p2.Ptm.peek });
       }
     in
-    let sut = { sut_name = "dude+daemon-faults"; sut_static = false; fresh } in
+    let sut = { sut_name = "dude"; sut_fault = Config.No_fault; sut_static = false; fresh } in
     let wl = recovery_workload () in
     incr runs;
     let o = run_once ~sut ~wl ~strategy:Sched.min_clock ~crash () in
     let count k = match List.assoc_opt k !counters with Some v -> v | None -> 0 in
     faults := !faults + count "daemon_faults";
     restarts := !restarts + count "daemon_restarts";
-    (match verify ~wl ~quiescent:(crash = None) o with
-    | Some reason ->
-      result := Some { df_seed = seed; df_crash = crash; df_rate = rate; df_reason = reason }
-    | None -> ());
-    o.oc_sites
+    boundaries := !boundaries + o.oc_sites;
+    (Option.bind (verify ~wl ~quiescent:(crash = None) o) (fail ~seed ?crash), o.oc_sites)
   in
-  (match only_seed with
-  | Some seed -> ignore (one ~seed ~crash)
+  let result =
+    match only_seed with
+    | Some seed -> fst (one ~seed ~crash:(C.cut_at cuts 0))
+    | None ->
+      let rec go s =
+        if s > seeds then
+          if !restarts = 0 then fail "vacuous sweep: no daemon restart was ever exercised"
+          else None
+        else begin
+          log (Printf.sprintf "daemons: seed %d, faults at rate %g, run to quiescence" s rate);
+          match one ~seed:s ~crash:None with
+          | (Some _ as f), _ -> f
+          | None, sites -> (
+            let k = 1 + (s * 7919 mod max 1 sites) in
+            log (Printf.sprintf "daemons: seed %d, power cut at boundary %d" s k);
+            match fst (one ~seed:s ~crash:(Some k)) with Some _ as f -> f | None -> go (s + 1))
+        end
+      in
+      go 1
+  in
+  match result with
+  | Some f -> C.Fail f
   | None ->
-    let s = ref 1 in
-    while !result = None && !s <= seeds do
-      log (Printf.sprintf "daemons: seed %d, faults at rate %g, run to quiescence" !s rate);
-      let sites = one ~seed:!s ~crash:None in
-      if !result = None then begin
-        let k = 1 + (!s * 7919 mod max 1 sites) in
-        log (Printf.sprintf "daemons: seed %d, power cut at boundary %d" !s k);
-        ignore (one ~seed:!s ~crash:(Some k))
-      end;
-      incr s
-    done;
-    if !result = None && !restarts = 0 then
-      result :=
-        Some
-          {
-            df_seed = 0;
-            df_crash = None;
-            df_rate = rate;
-            df_reason = "vacuous sweep: no daemon restart was ever exercised";
-          });
-  match !result with
-  | None -> Daemon_pass { runs = !runs; faults = !faults; restarts = !restarts }
-  | Some df -> Daemon_fail df
+    C.Pass
+      {
+        runs = !runs;
+        boundaries = !boundaries;
+        tallies = [ ("faults injected", !faults); ("restarts", !restarts) ];
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Sharded cross-commit campaign                                      *)
 (* ------------------------------------------------------------------ *)
 
 module Shard = Dudetm_shard.Shard.Make (Dudetm_tm.Tinystm)
-
-type shard_failure = {
-  shf_fault : Config.fault;
-  shf_nshards : int;
-  shf_txs : int;
-  shf_crash : int option;
-  shf_reason : string;
-}
-
-type shard_report = Shard_pass of { runs : int; boundaries : int } | Shard_fail of shard_failure
-
-let shard_replay_line shf =
-  Printf.sprintf "dudetm check --shards%s --shard-count %d --txs %d%s"
-    (match shf.shf_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    shf.shf_nshards shf.shf_txs
-    (match shf.shf_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-
-let default_shard_count = 3
-
-let default_shard_txs = 10
-
-let shard_sites_budget () =
-  let base = 60 in
-  if Sys.getenv_opt "DUDETM_CHECK_DEEP" = Some "1" then base * 10
-  else
-    match Option.bind (Sys.getenv_opt "DUDETM_CHECK_BUDGET") int_of_string_opt with
-    | Some m when m > 1 -> base * m
-    | _ -> base
 
 (* Word layout inside every shard's root block (mirrors test_shard.ml):
    0       balance — cross-shard transfers preserve the global sum
@@ -1395,43 +1225,31 @@ let shard_oracle ~nshards ~acked_frontier ~acked_eff sh =
   !bad
 
 (* One run: sequential mixed transfers + local bumps, power cut at persist
-   boundary [crash] counted across every shard's device ([None]: clean
-   stop).  The vector watermark is sampled at each boundary — exactly what
-   had been acknowledged when the power went out.  Returns the oracle
-   verdict and the boundary count. *)
-let shard_run ~fault ~nshards ~txs ~crash =
+   boundary [at] counted across every shard's device (none: clean stop).
+   The vector watermark is sampled at each boundary — exactly what had been
+   acknowledged when the power went out. *)
+let shard_run ~fault ~nshards ~txs cuts =
   let cfg = dude_cfg ~combine:false ~fault in
   let sh = Shard.create ~nshards cfg in
-  let sites = ref 0 in
   let acked_frontier = ref 0 in
   let acked_eff = Array.make nshards 0 in
-  let hook () =
-    incr sites;
+  let sample () =
     let f = Shard.global_frontier sh in
     if f > !acked_frontier then acked_frontier := f;
     Array.iteri (fun s e -> if e > acked_eff.(s) then acked_eff.(s) <- e)
-      (Shard.effective_vector sh);
-    match crash with Some k when !sites = k -> raise Crash_now | _ -> ()
+      (Shard.effective_vector sh)
   in
-  let disarm () =
-    for s = 0 to nshards - 1 do
-      Nvm.set_persist_hook (Shard.nvm sh s) None
-    done
-  in
-  let crashed = ref false in
-  let err = ref None in
-  (try
-     ignore
-       (Sched.run (fun () ->
+  let cut = C.cutter ~sample ?at:(C.cut_at cuts 0) (List.init nshards (Shard.nvm sh)) in
+  let ended =
+    C.cut_run ~arm_now:false cut (fun () ->
+        Sched.run (fun () ->
             Shard.start sh;
             for s = 0 to nshards - 1 do
               ignore
                 (Shard.atomically sh ~thread:0 ~shards:[ s ] (fun tx ->
                      Shard.write tx ~shard:s shb_balance shb_initial))
             done;
-            for s = 0 to nshards - 1 do
-              Nvm.set_persist_hook (Shard.nvm sh s) (Some hook)
-            done;
+            C.arm cut;
             for k = 1 to txs do
               let a = k mod nshards and b = (k + 1) mod nshards in
               (* Bloat [b]'s next flush record first.  Persist drains a
@@ -1456,73 +1274,21 @@ let shard_run ~fault ~nshards ~txs ~crash =
                      Shard.write tx ~shard:a (shb_pair b) (Int64.of_int k);
                      Shard.write tx ~shard:b (shb_pair a) (Int64.of_int k)))
             done;
-            disarm ();
+            C.disarm cut;
             Shard.stop sh))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> err := Some ("deadlock: " ^ msg)
-  | e -> err := Some ("engine raised " ^ Printexc.to_string e));
-  disarm ();
+  in
+  let oracle = shard_oracle ~nshards ~acked_frontier:!acked_frontier ~acked_eff in
   let verdict =
-    match !err with
-    | Some _ -> !err
-    | None ->
-      if not !crashed then shard_oracle ~nshards ~acked_frontier:!acked_frontier ~acked_eff sh
-      else begin
-        for s = 0 to nshards - 1 do
-          Nvm.crash (Shard.nvm sh s)
-        done;
-        match Shard.attach ~nshards (Shard.config sh) (Array.init nshards (Shard.nvm sh)) with
-        | sh2, _report ->
-          shard_oracle ~nshards ~acked_frontier:!acked_frontier ~acked_eff sh2
-        | exception e -> Some ("recovery raised " ^ Printexc.to_string e)
-      end
+    match ended with
+    | C.Completed _ -> oracle sh
+    | C.Cut -> (
+      List.iter Nvm.crash cut.devices;
+      match Shard.attach ~nshards (Shard.config sh) (Array.of_list cut.devices) with
+      | sh2, _report -> oracle sh2
+      | exception e -> Some ("recovery raised " ^ Printexc.to_string e))
+    | _ -> C.error ~who:"engine" ended
   in
-  (verdict, !sites)
-
-let check_shards ?(fault = Config.No_fault) ?(nshards = default_shard_count)
-    ?(txs = default_shard_txs) ?(log = fun _ -> ()) ?only_crash () =
-  if nshards < 2 then invalid_arg "Check.check_shards: need at least two shards";
-  let fail ~crash reason =
-    Shard_fail
-      { shf_fault = fault; shf_nshards = nshards; shf_txs = txs; shf_crash = crash;
-        shf_reason = reason }
-  in
-  match only_crash with
-  | Some k -> (
-    match shard_run ~fault ~nshards ~txs ~crash:(Some k) with
-    | Some reason, _ -> fail ~crash:(Some k) reason
-    | None, sites -> Shard_pass { runs = 1; boundaries = sites })
-  | None -> (
-    log (Printf.sprintf "shards: %d shards, %d cross txs, clean run" nshards txs);
-    match shard_run ~fault ~nshards ~txs ~crash:None with
-    | Some reason, _ -> fail ~crash:None reason
-    | None, total ->
-      let budget = shard_sites_budget () in
-      (* Enumerate every boundary when the budget covers them; otherwise an
-         evenly-spread sample (ascending, so the first hit is the earliest
-         failing boundary in the sampled set). *)
-      let picks =
-        if total <= budget then List.init total (fun i -> i + 1)
-        else List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
-      in
-      log
-        (Printf.sprintf "shards: %d persist boundaries, cutting power at %d of them" total
-           (List.length picks));
-      let runs = ref 1 in
-      let result = ref None in
-      List.iter
-        (fun k ->
-          if !result = None then begin
-            incr runs;
-            match shard_run ~fault ~nshards ~txs ~crash:(Some k) with
-            | Some reason, _ -> result := Some (fail ~crash:(Some k) reason)
-            | None, _ -> ()
-          end)
-        picks;
-      match !result with
-      | Some f -> f
-      | None -> Shard_pass { runs = !runs; boundaries = total })
+  { C.verdict; seen = [ cut.seen ]; tallies = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Batch-boundary crash campaign (pipelined group commit)             *)
@@ -1543,33 +1309,6 @@ let check_shards ?(fault = Config.No_fault) ?(nshards = default_shard_count)
    writing state it never re-fences would survive the first cut and lose
    data at the second. *)
 
-type batch_failure = {
-  bt_fault : Config.fault;
-  bt_txs : int;
-  bt_crash : int option;  (* first power cut (persist boundary) *)
-  bt_crash2 : int option;  (* second cut, counted after recovery *)
-  bt_reason : string;
-}
-
-type batch_report =
-  | Batch_pass of { runs : int; boundaries : int }
-  | Batch_fail of batch_failure
-
-let batch_replay_line bt =
-  Printf.sprintf "dudetm check --batch%s --txs %d%s%s"
-    (match bt.bt_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    bt.bt_txs
-    (match bt.bt_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-    (match bt.bt_crash2 with None -> "" | Some k -> Printf.sprintf " --crash2 %d" k)
-
-let default_batch_txs = 12
-
-let batch_sites_budget = shard_sites_budget
-
 (* Small groups, a short deadline and a tiny adaptive bound: every few
    transactions seal a batch, so deadline-, size- and drain-triggered
    batches all occur within one short run. *)
@@ -1586,27 +1325,21 @@ let batch_cfg ~fault =
    [counter] workload on [p], cutting power at the [crash]-th persist
    boundary.  Samples the durable watermark at every boundary (exactly
    what was acknowledged when the power went out) and checks it never
-   regresses.  Returns (verdict-so-far, sites, acked, crashed). *)
+   regresses.  Returns (verdict-so-far, sites, acked, crashed, committed). *)
 let batch_leg ~(wl : workload) ~txs ~crash (p : Ptm.t) nvm =
-  let sites = ref 0 in
   let acked = ref 0 in
-  let last_d = ref 0 in
   let err = ref None in
-  Nvm.set_persist_hook nvm
-    (Some
-       (fun () ->
-         incr sites;
-         let d = p.Ptm.durable_id () in
-         if d < !last_d && !err = None then
-           err := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
-         if d > !last_d then last_d := d;
-         if d > !acked then acked := d;
-         match crash with Some k when !sites = k -> raise Crash_now | _ -> ()));
-  let crashed = ref false in
+  let sample () =
+    let d = p.Ptm.durable_id () in
+    if d < !acked && !err = None then
+      err := Some (Printf.sprintf "durable id regressed from %d to %d" !acked d);
+    if d > !acked then acked := d
+  in
+  let cut = C.cutter ~sample ?at:crash [ nvm ] in
   let committed = ref 0 in
-  (try
-     ignore
-       (Sched.run (fun () ->
+  let ended =
+    C.cut_run cut (fun () ->
+        Sched.run (fun () ->
             p.Ptm.start ();
             let done_workers = ref 0 in
             for th = 0 to wl.threads - 1 do
@@ -1623,14 +1356,11 @@ let batch_leg ~(wl : workload) ~txs ~crash (p : Ptm.t) nvm =
                 !done_workers = wl.threads);
             p.Ptm.drain ();
             p.Ptm.stop ()))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> err := Some ("deadlock: " ^ msg)
-  | e -> err := Some ("engine raised " ^ Printexc.to_string e));
+  in
+  if !err = None then err := C.error ~who:"engine" ended;
   let d = p.Ptm.durable_id () in
   if d > !acked then acked := d;
-  Nvm.set_persist_hook nvm None;
-  (!err, !sites, !acked, !crashed, !committed)
+  (!err, cut.seen, !acked, ended = C.Cut, !committed)
 
 (* Durable-prefix oracle after an attach: the recovered counter is a
    commit count [k]; nothing acknowledged may be missing, recovery's own
@@ -1656,121 +1386,49 @@ let batch_oracle ~(wl : workload) ~acked ~quiescent ~committed ~durable
              committed k)
       else wl.check_state ~peek ~k
 
-(* One full batch-campaign run: first life, attach, optional second life,
-   attach again.  [crash = None] is the clean-engine control (runs to
-   quiescence, then loses power).  Returns (verdict, boundaries of the
-   first life, boundaries of the second life). *)
-let batch_run ~fault ~txs ~crash ~crash2 =
+(* One full batch-campaign run: first life cut at the first of [cuts],
+   attach, then a second life cut at the second, attach again.  No cuts is
+   the clean-engine control (runs to quiescence, then loses power).
+   Boundaries are seen per life. *)
+let batch_run ~fault ~txs cuts =
   let cfg = batch_cfg ~fault in
   let wl = counter ~threads:cfg.Config.nthreads ~txs in
   let p, _t = Dude_ptm.Stm.ptm cfg in
   let nvm = match p.Ptm.nvm with Some n -> n | None -> assert false in
-  let err1, sites1, acked1, crashed1, committed1 = batch_leg ~wl ~txs ~crash p nvm in
+  let case ?(sites2 = 0) verdict sites1 = { C.verdict; seen = [ sites1; sites2 ]; tallies = [] } in
+  let err1, sites1, acked1, crashed1, committed1 =
+    batch_leg ~wl ~txs ~crash:(C.cut_at cuts 0) p nvm
+  in
   match err1 with
-  | Some reason -> (Some reason, sites1, 0)
+  | Some _ -> case err1 sites1
   | None -> (
     Nvm.crash nvm;
     match Dude_ptm.Stm.attach_ptm cfg nvm with
-    | exception e -> (Some ("recovery raised " ^ Printexc.to_string e), sites1, 0)
+    | exception e -> case (Some ("recovery raised " ^ Printexc.to_string e)) sites1
     | p2, _t2, report -> (
       let verdict1 =
         batch_oracle ~wl ~acked:acked1 ~quiescent:(not crashed1) ~committed:committed1
           ~durable:(Some report.Dudetm.durable) ~peek:p2.Ptm.peek
       in
-      match verdict1 with
-      | Some reason -> (Some reason, sites1, 0)
-      | None ->
-        if not crashed1 then (None, sites1, 0)
-        else begin
-          (* Second life: the recovered engine must itself survive a cut. *)
-          let err2, sites2, acked2, crashed2, committed2 =
-            batch_leg ~wl ~txs ~crash:crash2 p2 nvm
-          in
-          match err2 with
-          | Some reason -> (Some reason, sites1, sites2)
-          | None -> (
-            Nvm.crash nvm;
-            match Dude_ptm.Stm.attach_ptm cfg nvm with
-            | exception e -> (Some ("re-recovery raised " ^ Printexc.to_string e), sites1, sites2)
-            | p3, _t3, report2 ->
-              ( batch_oracle ~wl ~acked:acked2 ~quiescent:(not crashed2)
-                  ~committed:(report.Dudetm.durable + committed2)
-                  ~durable:(Some report2.Dudetm.durable) ~peek:p3.Ptm.peek,
-                sites1,
-                sites2 ))
-        end))
-
-let check_batch ?(fault = Config.No_fault) ?(txs = default_batch_txs)
-    ?(log = fun _ -> ()) ?only_crash ?only_crash2 () =
-  let fail ~crash ~crash2 reason =
-    Batch_fail
-      { bt_fault = fault; bt_txs = txs; bt_crash = crash; bt_crash2 = crash2;
-        bt_reason = reason }
-  in
-  match only_crash with
-  | Some k -> (
-    match batch_run ~fault ~txs ~crash:(Some k) ~crash2:only_crash2 with
-    | Some reason, _, _ -> fail ~crash:(Some k) ~crash2:only_crash2 reason
-    | None, s1, s2 -> Batch_pass { runs = 1; boundaries = s1 + s2 })
-  | None -> (
-    log (Printf.sprintf "batch: pipelined combine, %d txs x %d threads, clean run" txs
-           (batch_cfg ~fault).Config.nthreads);
-    match batch_run ~fault ~txs ~crash:None ~crash2:None with
-    | Some reason, _, _ -> fail ~crash:None ~crash2:None reason
-    | None, total, _ ->
-      let budget = batch_sites_budget () in
-      let runs = ref 1 in
-      let result = ref None in
-      (* Single-cut sweep: every boundary when the budget covers them,
-         otherwise an evenly-spread ascending sample. *)
-      let picks =
-        if total <= budget then List.init total (fun i -> i + 1)
-        else List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
-      in
-      log
-        (Printf.sprintf "batch: %d persist boundaries, cutting power at %d of them" total
-           (List.length picks));
-      List.iter
-        (fun k ->
-          if !result = None then begin
-            incr runs;
-            match batch_run ~fault ~txs ~crash:(Some k) ~crash2:None with
-            | Some reason, _, _ -> result := Some (fail ~crash:(Some k) ~crash2:None reason)
-            | None, _, _ -> ()
-          end)
-        picks;
-      (* Two-deep sweep: re-crash the recovered engine.  A handful of
-         first cuts, each probed at a spread of second-life boundaries. *)
-      if !result = None then begin
-        let n1 = max 3 (budget / 15) in
-        let firsts = sample_sites ~s:total ~n:n1 in
-        log
-          (Printf.sprintf "batch: two-deep, re-crashing recovery after %d first cuts"
-             (List.length firsts));
-        List.iter
-          (fun k1 ->
-            if !result = None then begin
-              incr runs;
-              match batch_run ~fault ~txs ~crash:(Some k1) ~crash2:None with
-              | Some reason, _, _ ->
-                result := Some (fail ~crash:(Some k1) ~crash2:None reason)
-              | None, _, total2 ->
-                List.iter
-                  (fun k2 ->
-                    if !result = None then begin
-                      incr runs;
-                      match batch_run ~fault ~txs ~crash:(Some k1) ~crash2:(Some k2) with
-                      | Some reason, _, _ ->
-                        result := Some (fail ~crash:(Some k1) ~crash2:(Some k2) reason)
-                      | None, _, _ -> ()
-                    end)
-                  (sample_sites ~s:total2 ~n:(max 3 (budget / 15)))
-            end)
-          firsts
-      end;
-      match !result with
-      | Some f -> f
-      | None -> Batch_pass { runs = !runs; boundaries = total })
+      if verdict1 <> None || not crashed1 then case verdict1 sites1
+      else
+        (* Second life: the recovered engine must itself survive a cut. *)
+        let err2, sites2, acked2, crashed2, committed2 =
+          batch_leg ~wl ~txs ~crash:(C.cut_at cuts 1) p2 nvm
+        in
+        match err2 with
+        | Some _ -> case err2 sites1 ~sites2
+        | None -> (
+          Nvm.crash nvm;
+          match Dude_ptm.Stm.attach_ptm cfg nvm with
+          | exception e ->
+            case (Some ("re-recovery raised " ^ Printexc.to_string e)) sites1 ~sites2
+          | p3, _t3, report2 ->
+            case
+              (batch_oracle ~wl ~acked:acked2 ~quiescent:(not crashed2)
+                 ~committed:(report.Dudetm.durable + committed2)
+                 ~durable:(Some report2.Dudetm.durable) ~peek:p3.Ptm.peek)
+              sites1 ~sites2)))
 
 (* ------------------------------------------------------------------ *)
 (* Replicated-durability failover campaign                            *)
@@ -1806,34 +1464,6 @@ let replica_scenario_of_string = function
   | "partition" -> Rpartition
   | s -> invalid_arg ("Check.replica_scenario_of_string: unknown scenario " ^ s)
 
-type replica_failure = {
-  rf_fault : Config.fault;
-  rf_nreplicas : int;
-  rf_txs : int;
-  rf_scenario : replica_scenario;
-  rf_crash : int option;
-  rf_reason : string;
-}
-
-type replica_report =
-  | Replica_pass of { runs : int; boundaries : int }
-  | Replica_fail of replica_failure
-
-let replica_replay_line rf =
-  Printf.sprintf "dudetm check --replica%s --replicas %d --txs %d --scenario %s%s"
-    (match rf.rf_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    rf.rf_nreplicas rf.rf_txs
-    (replica_scenario_to_string rf.rf_scenario)
-    (match rf.rf_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-
-let default_replica_count = 3
-
-let default_replica_txs = 10
-
 (* Counter workload at the engine level (same model as [counter]): tx
    number i stamps slot (i mod 8) and writes the root to i, so the whole
    durable state is a function of the recovered counter alone. *)
@@ -1856,10 +1486,9 @@ let replica_faults =
     corrupt = 0.03;
   }
 
-(* One full campaign run: drive the cluster, optionally cut power at the
-   [crash]-th primary persist boundary, fail over, check the oracle.
-   Returns (verdict, primary persist boundaries seen). *)
-let replica_run ~fault ~nreplicas ~txs ~scenario ~crash =
+(* One full campaign run: drive the cluster, optionally cut power at a
+   primary persist boundary, fail over, check the oracle. *)
+let replica_run ~fault ~nreplicas ~txs ~scenario cuts =
   let cfg = { (batch_cfg ~fault) with Config.plog_size = 1 lsl 14 } in
   let link =
     {
@@ -1872,24 +1501,20 @@ let replica_run ~fault ~nreplicas ~txs ~scenario ~crash =
   let c = Rep.create ~rcfg cfg in
   let prim = Rep.primary c in
   let prim_nvm = Rep.Engine.nvm prim in
-  let sites = ref 0 in
   let last_d = ref 0 in
   let err = ref None in
-  Nvm.set_persist_hook prim_nvm
-    (Some
-       (fun () ->
-         incr sites;
-         let d = Rep.Engine.durable_id prim in
-         if d < !last_d && !err = None then
-           err := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
-         if d > !last_d then last_d := d;
-         match crash with Some k when !sites = k -> raise Crash_now | _ -> ()));
-  let crashed = ref false in
+  let sample () =
+    let d = Rep.Engine.durable_id prim in
+    if d < !last_d && !err = None then
+      err := Some (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
+    if d > !last_d then last_d := d
+  in
+  let cut = C.cutter ~sample ?at:(C.cut_at cuts 0) [ prim_nvm ] in
   let committed = ref 0 in
   let drained_quorum = ref false in
-  (try
-     ignore
-       (Sched.run (fun () ->
+  let ended =
+    C.cut_run cut (fun () ->
+        Sched.run (fun () ->
             Rep.start c;
             (match scenario with
             | Rpartition ->
@@ -1927,105 +1552,50 @@ let replica_run ~fault ~nreplicas ~txs ~scenario ~crash =
             | Rep.Degraded_quorum _ -> ());
             Rep.sync_followers c;
             Rep.stop c))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> err := Some ("deadlock: " ^ msg)
-  | e -> err := Some ("cluster raised " ^ Printexc.to_string e));
-  Nvm.set_persist_hook prim_nvm None;
+  in
+  if !err = None then err := C.error ~who:"cluster" ended;
   (* The watermark is monotone, so its value now is its value at the cut:
      exactly what was ever acknowledged as quorum-durable. *)
   let acked = Rep.acked c in
-  match !err with
-  | Some reason -> (Some reason, !sites)
-  | None -> (
-    match Rep.promote c with
-    | exception e -> (Some ("promotion raised " ^ Printexc.to_string e), !sites)
-    | eng, prom ->
-      let peek a = Rep.Engine.heap_read_u64 eng a in
-      let k = Int64.to_int (peek 0) in
-      let durable = prom.Rep.report.Dudetm.durable in
-      (* With K = 1 the quorum is the primary alone (q = ⌈2/2⌉ = 1): acks
-         promise primary-local durability only — PR 6 semantics — so
-         failover makes no no-loss promise and only the prefix-consistency
-         checks apply.  Any larger cluster needs at least one replica ack,
-         and then no quorum-acked transaction may be lost. *)
-      let quorum_loss_guarded = Rep.quorum_needed ~nreplicas > 1 in
-      let reason =
-        if quorum_loss_guarded && acked > prom.Rep.quorum_prefix then
-          Some
-            (Printf.sprintf
-               "acked watermark %d passed the quorum prefix %d (candidates %s)" acked
-               prom.Rep.quorum_prefix
-               (String.concat ","
-                  (Array.to_list (Array.map string_of_int prom.Rep.candidates))))
-        else if quorum_loss_guarded && durable < acked then
-          Some
-            (Printf.sprintf
-               "durability lost: watermark %d was quorum-acked, promotion recovered only %d"
-               acked durable)
-        else if k <> durable then
-          Some
-            (Printf.sprintf "promotion reports durable id %d but the data image shows %d"
-               durable k)
-        else if (not !crashed) && !drained_quorum && k <> !committed then
-          Some
-            (Printf.sprintf "quiescent stop lost transactions: committed %d, promoted %d"
-               !committed k)
-        else slot_check ~slots:replica_slots ~stamp:replica_stamp ~peek ~k
-      in
-      (reason, !sites))
-
-let check_replica ?(fault = Config.No_fault) ?(nreplicas = default_replica_count)
-    ?(txs = default_replica_txs) ?(log = fun _ -> ()) ?scenario ?only_crash () =
-  let fail ~scenario ~crash reason =
-    Replica_fail
-      { rf_fault = fault; rf_nreplicas = nreplicas; rf_txs = txs; rf_scenario = scenario;
-        rf_crash = crash; rf_reason = reason }
+  let verdict =
+    match !err with
+    | Some _ -> !err
+    | None -> (
+      match Rep.promote c with
+      | exception e -> Some ("promotion raised " ^ Printexc.to_string e)
+      | eng, prom ->
+        let peek a = Rep.Engine.heap_read_u64 eng a in
+        let k = Int64.to_int (peek 0) in
+        let durable = prom.Rep.report.Dudetm.durable in
+        (* With K = 1 the quorum is the primary alone (q = ⌈2/2⌉ = 1): acks
+           promise primary-local durability only, as without replication, so
+           failover makes no no-loss promise and only the prefix-consistency
+           checks apply.  Any larger cluster needs at least one replica ack,
+           and then no quorum-acked transaction may be lost. *)
+        let quorum_loss_guarded = Rep.quorum_needed ~nreplicas > 1 in
+          if quorum_loss_guarded && acked > prom.Rep.quorum_prefix then
+            Some
+              (Printf.sprintf
+                 "acked watermark %d passed the quorum prefix %d (candidates %s)" acked
+                 prom.Rep.quorum_prefix
+                 (String.concat ","
+                    (Array.to_list (Array.map string_of_int prom.Rep.candidates))))
+          else if quorum_loss_guarded && durable < acked then
+            Some
+              (Printf.sprintf
+                 "durability lost: watermark %d was quorum-acked, promotion recovered only %d"
+                 acked durable)
+          else if k <> durable then
+            Some
+              (Printf.sprintf "promotion reports durable id %d but the data image shows %d"
+                 durable k)
+          else if ended <> C.Cut && !drained_quorum && k <> !committed then
+            Some
+              (Printf.sprintf "quiescent stop lost transactions: committed %d, promoted %d"
+                 !committed k)
+          else slot_check ~slots:replica_slots ~stamp:replica_stamp ~peek ~k)
   in
-  match (scenario, only_crash) with
-  | Some sc, Some k -> (
-    match replica_run ~fault ~nreplicas ~txs ~scenario:sc ~crash:(Some k) with
-    | Some reason, _ -> fail ~scenario:sc ~crash:(Some k) reason
-    | None, s -> Replica_pass { runs = 1; boundaries = s })
-  | _ ->
-    let scenarios =
-      match scenario with Some sc -> [ sc ] | None -> [ Rclean; Rfaulty; Rpartition ]
-    in
-    let budget = max 4 (shard_sites_budget () / List.length scenarios) in
-    let runs = ref 0 in
-    let boundaries = ref 0 in
-    let result = ref None in
-    List.iter
-      (fun sc ->
-        if !result = None then begin
-          log
-            (Printf.sprintf "replica: scenario %s, K=%d, %d txs x %d threads, quiescent run"
-               (replica_scenario_to_string sc)
-               nreplicas txs
-               (batch_cfg ~fault:Config.No_fault).Config.nthreads);
-          incr runs;
-          match replica_run ~fault ~nreplicas ~txs ~scenario:sc ~crash:None with
-          | Some reason, _ -> result := Some (fail ~scenario:sc ~crash:None reason)
-          | None, total ->
-            boundaries := !boundaries + total;
-            let picks = sample_sites ~s:total ~n:budget in
-            log
-              (Printf.sprintf "replica: %d primary persist boundaries, killing at %d of them"
-                 total (List.length picks));
-            List.iter
-              (fun k ->
-                if !result = None then begin
-                  incr runs;
-                  match replica_run ~fault ~nreplicas ~txs ~scenario:sc ~crash:(Some k) with
-                  | Some reason, _ -> result := Some (fail ~scenario:sc ~crash:(Some k) reason)
-                  | None, _ -> ()
-                end)
-              picks
-        end)
-      scenarios;
-    match !result with
-    | Some f -> f
-    | None -> Replica_pass { runs = !runs; boundaries = !boundaries }
+  { C.verdict; seen = [ cut.seen ]; tallies = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Live-migration (resharding) crash campaign                         *)
@@ -2060,27 +1630,6 @@ let check_replica ?(fault = Config.No_fault) ?(nreplicas = default_replica_count
 module Mig = Dudetm_shard.Migrate.Make (Dudetm_tm.Tinystm)
 module Handoff = Dudetm_shard.Handoff
 module Partition = Dudetm_workloads.Partition
-
-type migrate_failure = {
-  mg_fault : Config.fault;
-  mg_crash : int option;  (* first power cut (persist boundary) *)
-  mg_crash2 : int option;  (* second cut, counted from the re-attach on *)
-  mg_reason : string;
-}
-
-type migrate_report =
-  | Migrate_pass of { runs : int; boundaries : int }
-  | Migrate_fail of migrate_failure
-
-let migrate_replay_line mg =
-  Printf.sprintf "dudetm check --migrate%s%s%s"
-    (match mg.mg_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    (match mg.mg_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-    (match mg.mg_crash2 with None -> "" | Some k -> Printf.sprintf " --crash2 %d" k)
 
 let migrate_nshards = 8
 
@@ -2237,12 +1786,12 @@ let mg_complete mig model =
     mg_bump mig model ~thread:(k mod 3) k
   done
 
-(* One full campaign run: first life (cut at boundary [crash], counted
-   across all devices), attach with hooks re-armed (so [crash2] can land
-   inside recovery itself), completion life, attach after any second cut,
-   completion again, final oracle.  Returns (verdict, first-life sites,
-   second-count sites). *)
-let migrate_run ~fault ~crash ~crash2 =
+(* One full campaign run: first life (cut at the first of [cuts], counted
+   across all devices), attach with hooks re-armed (so the second cut can
+   land inside recovery itself), completion life, attach after any second cut,
+   completion again, final oracle.  Boundaries of the second count start
+   at the first re-attach. *)
+let migrate_run ~fault cuts =
   let cfg = dude_cfg ~combine:false ~fault in
   let part =
     Partition.buckets ~nshards:migrate_nshards ~lo:0L ~hi:(Int64.of_int migrate_nkeys)
@@ -2251,11 +1800,8 @@ let migrate_run ~fault ~crash ~crash2 =
   let sh = Mig.Sh.create ~nshards:migrate_nshards cfg in
   let mig = Mig.create sh ~part ~nkeys:migrate_nkeys ~slot_of:mg_slot in
   let model = mg_model () in
-  let sites = ref 0 in
-  let cut_at = ref crash in
   let cur_sh = ref sh in
-  let hook () =
-    incr sites;
+  let sample () =
     let shh = !cur_sh in
     let f = Mig.Sh.global_frontier shh in
     if f > model.mg_fmax then model.mg_fmax <- f;
@@ -2277,159 +1823,76 @@ let migrate_run ~fault ~crash ~crash2 =
         end
         else go := false
       done
-    done;
-    match !cut_at with Some c when !sites = c -> raise Crash_now | _ -> ()
+    done
   in
   let nvms = Array.init migrate_nshards (Mig.Sh.nvm sh) in
-  let arm () = Array.iter (fun n -> Nvm.set_persist_hook n (Some hook)) nvms in
-  let disarm () = Array.iter (fun n -> Nvm.set_persist_hook n None) nvms in
-  let crashed = ref false in
-  let err = ref None in
-  (try
-     ignore
-       (Sched.run (fun () ->
+  let cut = C.cutter ~sample ?at:(C.cut_at cuts 0) (Array.to_list nvms) in
+  let life1 =
+    C.cut_run ~arm_now:false cut (fun () ->
+        Sched.run (fun () ->
             Mig.Sh.start sh;
-            arm ();
+            C.arm cut;
             mg_schedule mig model;
-            disarm ();
+            C.disarm cut;
             Mig.Sh.stop sh))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> err := Some ("deadlock: " ^ msg)
-  | e -> err := Some ("engine raised " ^ Printexc.to_string e));
-  disarm ();
-  let sites1 = !sites in
-  match !err with
-  | Some reason -> (Some reason, sites1, 0)
-  | None ->
-    if not !crashed then (mg_oracle ~final:true sh mig model, sites1, 0)
-    else begin
+  in
+  let sites1 = cut.seen in
+  let attach_once () =
+    let sh2, _rep = Mig.Sh.attach ~nshards:migrate_nshards cfg nvms in
+    cur_sh := sh2;
+    let mig2, _resume = Mig.attach sh2 ~nkeys:migrate_nkeys ~slot_of:mg_slot in
+    (sh2, mig2)
+  in
+  let complete sh2 mig2 () =
+    Sched.run (fun () ->
+        Mig.Sh.start sh2;
+        mg_complete mig2 model;
+        C.disarm cut;
+        Mig.Sh.stop sh2)
+  in
+  (* The recovered values must lie within the model's bounds; the model
+     then rebases on them before the completion life [finish]. *)
+  let recovered sh2 mig2 finish =
+    match mg_oracle ~final:false sh2 mig2 model with
+    | Some r -> Some r
+    | None ->
+      mg_rebase sh2 mig2 model;
+      finish ()
+  in
+  let final_life () =
+    (* No further cuts: attach once more and finish the schedule. *)
+    mg_void_pending model;
+    Array.iter Nvm.crash nvms;
+    match attach_once () with
+    | exception e -> Some ("re-recovery raised " ^ Printexc.to_string e)
+    | sh3, mig3 ->
+      recovered sh3 mig3 (fun () ->
+          match C.cut_run ~arm_now:false cut (complete sh3 mig3) with
+          | C.Completed _ -> mg_oracle ~final:true sh3 mig3 model
+          | ended -> C.error ~who:"re-recovered engine" ended)
+  in
+  let verdict =
+    match life1 with
+    | C.Completed _ -> mg_oracle ~final:true sh mig model
+    | C.Cut -> (
       mg_void_pending model;
       Array.iter Nvm.crash nvms;
-      sites := 0;
-      cut_at := crash2;
-      arm ();
+      cut.seen <- 0;
+      cut.at <- C.cut_at cuts 1;
       (* Attach with hooks armed: the second cut may land between the
          handoff journal's own recovery seals. *)
-      let attach_once () =
-        let sh2, _rep = Mig.Sh.attach ~nshards:migrate_nshards cfg nvms in
-        cur_sh := sh2;
-        let mig2, _resume = Mig.attach sh2 ~nkeys:migrate_nkeys ~slot_of:mg_slot in
-        (sh2, mig2)
-      in
-      let complete_life sh2 mig2 =
-        Sched.run (fun () ->
-            Mig.Sh.start sh2;
-            mg_complete mig2 model;
-            disarm ();
-            Mig.Sh.stop sh2)
-      in
-      let final_life () =
-        (* No further cuts: attach once more and finish the schedule. *)
-        mg_void_pending model;
-        disarm ();
-        Array.iter Nvm.crash nvms;
-        match attach_once () with
-        | exception e -> Some ("re-recovery raised " ^ Printexc.to_string e)
-        | sh3, mig3 -> (
-          match mg_oracle ~final:false sh3 mig3 model with
-          | Some r -> Some r
-          | None -> (
-            mg_rebase sh3 mig3 model;
-            match Sched.run (fun () ->
-                      Mig.Sh.start sh3;
-                      mg_complete mig3 model;
-                      Mig.Sh.stop sh3)
-            with
-            | _ -> mg_oracle ~final:true sh3 mig3 model
-            | exception Sched.Deadlock msg -> Some ("deadlock after re-recovery: " ^ msg)
-            | exception e -> Some ("re-recovered engine raised " ^ Printexc.to_string e)))
-      in
-      match attach_once () with
-      | exception Crash_now -> (final_life (), sites1, !sites)
-      | exception e -> (Some ("recovery raised " ^ Printexc.to_string e), sites1, !sites)
-      | sh2, mig2 -> (
-        match mg_oracle ~final:false sh2 mig2 model with
-        | Some r -> (Some r, sites1, !sites)
-        | None -> (
-          mg_rebase sh2 mig2 model;
-          match complete_life sh2 mig2 with
-          | _ -> (mg_oracle ~final:true sh2 mig2 model, sites1, !sites)
-          | exception Crash_now -> (final_life (), sites1, !sites)
-          | exception Sched.Deadlock msg -> (Some ("deadlock: " ^ msg), sites1, !sites)
-          | exception e ->
-            (Some ("recovered engine raised " ^ Printexc.to_string e), sites1, !sites)))
-    end
-
-let check_migrate ?(fault = Config.No_fault) ?(log = fun _ -> ()) ?only_crash ?only_crash2 ()
-    =
-  let fail ~crash ~crash2 reason =
-    Migrate_fail { mg_fault = fault; mg_crash = crash; mg_crash2 = crash2; mg_reason = reason }
+      match C.cut_run cut attach_once with
+      | C.Cut -> final_life ()
+      | C.Completed (sh2, mig2) ->
+        recovered sh2 mig2 (fun () ->
+            match C.cut_run cut (complete sh2 mig2) with
+            | C.Completed _ -> mg_oracle ~final:true sh2 mig2 model
+            | C.Cut -> final_life ()
+            | ended -> C.error ~who:"recovered engine" ended)
+      | ended -> C.error ~who:"recovery" ended)
+    | ended -> C.error ~who:"engine" ended
   in
-  match only_crash with
-  | Some k -> (
-    match migrate_run ~fault ~crash:(Some k) ~crash2:only_crash2 with
-    | Some reason, _, _ -> fail ~crash:(Some k) ~crash2:only_crash2 reason
-    | None, s1, s2 -> Migrate_pass { runs = 1; boundaries = s1 + s2 })
-  | None -> (
-    log
-      (Printf.sprintf "migrate: live 4->8 resharding, %d shards, %d keys, clean run"
-         migrate_nshards migrate_nkeys);
-    match migrate_run ~fault ~crash:None ~crash2:None with
-    | Some reason, _, _ -> fail ~crash:None ~crash2:None reason
-    | None, total, _ ->
-      let budget = shard_sites_budget () in
-      let runs = ref 1 in
-      let result = ref None in
-      let picks =
-        if total <= budget then List.init total (fun i -> i + 1)
-        else List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
-      in
-      log
-        (Printf.sprintf "migrate: %d persist boundaries, cutting power at %d of them" total
-           (List.length picks));
-      List.iter
-        (fun k ->
-          if !result = None then begin
-            incr runs;
-            match migrate_run ~fault ~crash:(Some k) ~crash2:None with
-            | Some reason, _, _ -> result := Some (fail ~crash:(Some k) ~crash2:None reason)
-            | None, _, _ -> ()
-          end)
-        picks;
-      (* Two-deep: a handful of first cuts, each re-cut at a spread of
-         boundaries counted from the re-attach on — recovery's own handoff
-         seals included. *)
-      if !result = None then begin
-        let n1 = max 3 (budget / 20) in
-        let firsts = sample_sites ~s:total ~n:n1 in
-        log
-          (Printf.sprintf "migrate: two-deep, re-cutting recovery after %d first cuts"
-             (List.length firsts));
-        List.iter
-          (fun k1 ->
-            if !result = None then begin
-              incr runs;
-              match migrate_run ~fault ~crash:(Some k1) ~crash2:None with
-              | Some reason, _, _ ->
-                result := Some (fail ~crash:(Some k1) ~crash2:None reason)
-              | None, _, total2 ->
-                List.iter
-                  (fun k2 ->
-                    if !result = None then begin
-                      incr runs;
-                      match migrate_run ~fault ~crash:(Some k1) ~crash2:(Some k2) with
-                      | Some reason, _, _ ->
-                        result := Some (fail ~crash:(Some k1) ~crash2:(Some k2) reason)
-                      | None, _, _ -> ()
-                    end)
-                  (sample_sites ~s:total2 ~n:(max 3 (budget / 20)))
-            end)
-          firsts
-      end;
-      match !result with
-      | Some f -> f
-      | None -> Migrate_pass { runs = !runs; boundaries = total })
+  { C.verdict; seen = [ sites1; (if life1 = C.Cut then cut.seen else 0) ]; tallies = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot-read crash campaign                                       *)
@@ -2457,63 +1920,33 @@ let sn_slot_a p = 8 + (16 * p)
 
 let sn_slot_b p = sn_slot_a p + 8
 
-let default_snapshot_txs = 12
-
-let snapshot_sites_budget = shard_sites_budget
-
-type snapshot_failure = {
-  sn_fault : Config.fault;
-  sn_txs : int;
-  sn_crash : int option;  (* power cut (persist boundary) *)
-  sn_reason : string;
-}
-
-type snapshot_report =
-  | Snapshot_pass of { runs : int; boundaries : int; reads : int }
-  | Snapshot_fail of snapshot_failure
-
-let snapshot_replay_line sn =
-  Printf.sprintf "dudetm check --snapshot%s --txs %d%s"
-    (match sn.sn_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    sn.sn_txs
-    (match sn.sn_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-
 (* One full run on the pipelined-combine config (short deadline: durable
    pin waits stay bounded, and a short run still crosses many persist
    boundaries): writers on threads [0 .. n-2], the snapshot reader on the
-   last thread, power cut at the [crash]-th boundary, attach, oracle.
-   Returns (verdict, boundaries, completed snapshot reads). *)
-let snapshot_run ~fault ~txs ~crash =
+   last thread, power cut at a persist boundary, attach, oracle; completed
+   snapshot reads are tallied. *)
+let snapshot_run ~fault ~txs cuts =
   let cfg = batch_cfg ~fault in
   let nthreads = cfg.Config.nthreads in
   let nwriters = nthreads - 1 in
   let p, _t = Dude_ptm.Stm.ptm cfg in
   let nvm = match p.Ptm.nvm with Some n -> n | None -> assert false in
-  let sites = ref 0 in
   let last_d = ref 0 in
   let err = ref None in
   let report r = if !err = None then err := Some r in
-  Nvm.set_persist_hook nvm
-    (Some
-       (fun () ->
-         incr sites;
-         let d = p.Ptm.durable_id () in
-         if d < !last_d then
-           report (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
-         if d > !last_d then last_d := d;
-         match crash with Some k when !sites = k -> raise Crash_now | _ -> ()));
+  let sample () =
+    let d = p.Ptm.durable_id () in
+    if d < !last_d then report (Printf.sprintf "durable id regressed from %d to %d" !last_d d);
+    if d > !last_d then last_d := d
+  in
+  let cut = C.cutter ~sample ?at:(C.cut_at cuts 0) [ nvm ] in
   let committed = Array.make snapshot_npairs 0 in
   (* Per pair: the largest value a completed durable-mode read returned. *)
   let durable_seen = Array.make snapshot_npairs 0 in
   let reads = ref 0 in
-  let crashed = ref false in
-  (try
-     ignore
-       (Sched.run (fun () ->
+  let ended =
+    C.cut_run cut (fun () ->
+        Sched.run (fun () ->
             p.Ptm.start ();
             let writers_done = ref 0 in
             for th = 0 to nwriters - 1 do
@@ -2574,83 +2007,40 @@ let snapshot_run ~fault ~txs ~crash =
                 !writers_done = nwriters && !reader_done);
             p.Ptm.drain ();
             p.Ptm.stop ()))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> report ("deadlock: " ^ msg)
-  | e -> report ("engine raised " ^ Printexc.to_string e));
-  Nvm.set_persist_hook nvm None;
-  match !err with
-  | Some reason -> (Some reason, !sites, !reads)
-  | None -> (
-    Nvm.crash nvm;
-    match Dude_ptm.Stm.attach_ptm cfg nvm with
-    | exception e -> (Some ("recovery raised " ^ Printexc.to_string e), !sites, !reads)
-    | p2, _t2, _report ->
-      let verdict = ref None in
-      let fail r = if !verdict = None then verdict := Some r in
-      for pr = 0 to snapshot_npairs - 1 do
-        let ra = Int64.to_int (p2.Ptm.peek (sn_slot_a pr)) in
-        let rb = Int64.to_int (p2.Ptm.peek (sn_slot_b pr)) in
-        if ra <> rb then fail (Printf.sprintf "recovered pair %d is torn: %d/%d" pr ra rb);
-        if ra < durable_seen.(pr) then
-          fail
-            (Printf.sprintf
-               "durable-mode snapshot read lost: pair %d read %d, recovery found %d" pr
-               durable_seen.(pr) ra);
-        if ra > committed.(pr) then
-          fail
-            (Printf.sprintf "phantom writes: pair %d recovered %d, only %d committed" pr ra
-               committed.(pr));
-        if (not !crashed) && ra <> committed.(pr) then
-          fail
-            (Printf.sprintf "quiescent stop lost writes: pair %d is %d, committed %d" pr ra
-               committed.(pr))
-      done;
-      (!verdict, !sites, !reads))
-
-let check_snapshot ?(fault = Config.No_fault) ?(txs = default_snapshot_txs)
-    ?(log = fun _ -> ()) ?only_crash () =
-  let fail ~crash reason =
-    Snapshot_fail { sn_fault = fault; sn_txs = txs; sn_crash = crash; sn_reason = reason }
   in
-  match only_crash with
-  | Some k -> (
-    match snapshot_run ~fault ~txs ~crash:(Some k) with
-    | Some reason, _, _ -> fail ~crash:(Some k) reason
-    | None, s, r -> Snapshot_pass { runs = 1; boundaries = s; reads = r })
-  | None -> (
-    log
-      (Printf.sprintf "snapshot: %d pair-writers x %d txs + mixed-mode reader, clean run"
-         ((batch_cfg ~fault).Config.nthreads - 1)
-         txs);
-    match snapshot_run ~fault ~txs ~crash:None with
-    | Some reason, _, _ -> fail ~crash:None reason
-    | None, total, reads0 ->
-      let budget = snapshot_sites_budget () in
-      let runs = ref 1 in
-      let reads = ref reads0 in
-      let result = ref None in
-      let picks =
-        if total <= budget then List.init total (fun i -> i + 1)
-        else List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
-      in
-      log
-        (Printf.sprintf
-           "snapshot: %d persist boundaries, cutting power at %d of them under durable \
-            readers"
-           total (List.length picks));
-      List.iter
-        (fun k ->
-          if !result = None then begin
-            incr runs;
-            match snapshot_run ~fault ~txs ~crash:(Some k) with
-            | Some reason, _, _ -> result := Some (fail ~crash:(Some k) reason)
-            | None, _, r -> reads := !reads + r
-          end)
-        picks;
-      match !result with
-      | Some f -> f
-      | None -> Snapshot_pass { runs = !runs; boundaries = total; reads = !reads })
+  Option.iter report (C.error ~who:"engine" ended);
+  let verdict =
+    match !err with
+    | Some _ -> !err
+    | None -> (
+      Nvm.crash nvm;
+      match Dude_ptm.Stm.attach_ptm cfg nvm with
+      | exception e -> Some ("recovery raised " ^ Printexc.to_string e)
+      | p2, _t2, _report ->
+        let verdict = ref None in
+        let fail r = if !verdict = None then verdict := Some r in
+        for pr = 0 to snapshot_npairs - 1 do
+          let ra = Int64.to_int (p2.Ptm.peek (sn_slot_a pr)) in
+          let rb = Int64.to_int (p2.Ptm.peek (sn_slot_b pr)) in
+          if ra <> rb then fail (Printf.sprintf "recovered pair %d is torn: %d/%d" pr ra rb);
+          if ra < durable_seen.(pr) then
+            fail
+              (Printf.sprintf
+                 "durable-mode snapshot read lost: pair %d read %d, recovery found %d" pr
+                 durable_seen.(pr) ra);
+          if ra > committed.(pr) then
+            fail
+              (Printf.sprintf "phantom writes: pair %d recovered %d, only %d committed" pr ra
+                 committed.(pr));
+          if ended <> C.Cut && ra <> committed.(pr) then
+            fail
+              (Printf.sprintf "quiescent stop lost writes: pair %d is %d, committed %d" pr ra
+                 committed.(pr))
+        done;
+        !verdict)
+  in
+  { C.verdict; seen = [ cut.seen ]; tallies = [ ("snapshot reads", !reads) ] }
+
 
 (* ------------------------------------------------------------------ *)
 (* Serving front-end crash campaign                                   *)
@@ -2683,10 +2073,6 @@ let serve_nshards = 2
 let serve_ntenants = 2
 
 let serve_npairs = 4
-
-let default_serve_txs = 10
-
-let serve_sites_budget = shard_sites_budget
 
 (* Pair [p] lives on shard [p mod serve_nshards]; its two slots sit past
    the root word at a stride that keeps pairs on one shard apart. *)
@@ -2724,58 +2110,28 @@ let serve_app =
         if Int64.equal a b then a else -1L);
   }
 
-type serve_failure = {
-  sv_fault : Config.fault;
-  sv_txs : int;
-  sv_crash : int option;  (* power cut (persist boundary) *)
-  sv_reason : string;
-}
-
-type serve_report =
-  | Serve_pass of { runs : int; boundaries : int; acked : int; shed : int }
-  | Serve_fail of serve_failure
-
-let serve_replay_line sv =
-  Printf.sprintf "dudetm check --serve%s --txs %d%s"
-    (match sv.sv_fault with
-    | Config.No_fault -> ""
-    | f ->
-      let s = fault_suffix f in
-      " --mutate " ^ String.sub s 1 (String.length s - 1))
-    sv.sv_txs
-    (match sv.sv_crash with None -> "" | Some k -> Printf.sprintf " --crash-at %d" k)
-
 (* One full run: the front end over [serve_nshards] fresh devices, one
    closed-loop client per pair submitting dense increments (retrying the
-   same value after a shed or abort), a power cut at the [crash]-th
-   persist boundary counted across all devices, re-attach, oracle.
-   Returns (verdict, boundaries, acked total, shed total). *)
-let serve_run ~fault ~txs ~crash =
+   same value after a shed or abort), a power cut at a persist boundary
+   counted across all devices, re-attach, oracle; acked and shed requests
+   are tallied. *)
+let serve_run ~fault ~txs cuts =
   let cfg =
     Dudetm_serve.Serve_load.engine_cfg ~fault
       ~workers:serve_scfg.Serve.workers_per_shard ()
   in
   let sh = Srv.Sh.create ~nshards:serve_nshards cfg in
   let nvms = Array.init serve_nshards (fun s -> Srv.Sh.nvm sh s) in
-  let sites = ref 0 in
   let err = ref None in
   let report r = if !err = None then err := Some r in
-  Array.iter
-    (fun nvm ->
-      Nvm.set_persist_hook nvm
-        (Some
-           (fun () ->
-             incr sites;
-             match crash with Some k when !sites = k -> raise Crash_now | _ -> ())))
-    nvms;
+  let cut = C.cutter ?at:(C.cut_at cuts 0) (Array.to_list nvms) in
   let srv = Srv.create ~scfg:serve_scfg ~app:serve_app ~ntenants:serve_ntenants sh in
   let acked = Array.make serve_npairs 0 in
   let submitted = Array.make serve_npairs 0 in
   let shed = ref 0 in
-  let crashed = ref false in
-  (try
-     ignore
-       (Sched.run (fun () ->
+  let ended =
+    C.cut_run cut (fun () ->
+        Sched.run (fun () ->
             Srv.start srv;
             let clients_done = ref 0 in
             for p = 0 to serve_npairs - 1 do
@@ -2826,89 +2182,197 @@ let serve_run ~fault ~txs ~crash =
             Sched.wait_until ~label:"serve clients done" (fun () ->
                 !clients_done = serve_npairs);
             Srv.stop srv))
-   with
-  | Crash_now -> crashed := true
-  | Sched.Deadlock msg -> report ("deadlock: " ^ msg)
-  | e -> report ("engine raised " ^ Printexc.to_string e));
-  Array.iter (fun nvm -> Nvm.set_persist_hook nvm None) nvms;
-  let acked_total = Array.fold_left ( + ) 0 acked in
-  match !err with
-  | Some reason -> (Some reason, !sites, acked_total, !shed)
-  | None -> (
-    Array.iter Nvm.crash nvms;
-    match Srv.Sh.attach ~nshards:serve_nshards cfg nvms with
-    | exception e ->
-      (Some ("recovery raised " ^ Printexc.to_string e), !sites, acked_total, !shed)
-    | sh2, _recovery ->
-      let verdict = ref None in
-      let fail r = if !verdict = None then verdict := Some r in
-      for p = 0 to serve_npairs - 1 do
-        let e = Srv.Sh.engine sh2 (sv_shard_of p) in
-        let ra = Int64.to_int (Srv.Engine.heap_read_u64 e (sv_slot_a p)) in
-        let rb = Int64.to_int (Srv.Engine.heap_read_u64 e (sv_slot_b p)) in
-        if ra <> rb then
-          fail
-            (Printf.sprintf "half-applied request: pair %d recovered %d/%d" p ra rb);
-        if ra < acked.(p) then
-          fail
-            (Printf.sprintf
-               "acked request lost: pair %d acked %d, recovery found %d" p acked.(p)
-               ra);
-        if ra > submitted.(p) then
-          fail
-            (Printf.sprintf "phantom request: pair %d recovered %d, submitted %d" p
-               ra submitted.(p));
-        if (not !crashed) && ra <> txs then
-          fail
-            (Printf.sprintf "quiescent stop lost requests: pair %d is %d, expected %d"
-               p ra txs)
-      done;
-      (!verdict, !sites, acked_total, !shed))
-
-let check_serve ?(fault = Config.No_fault) ?(txs = default_serve_txs)
-    ?(log = fun _ -> ()) ?only_crash () =
-  let fail ~crash reason =
-    Serve_fail { sv_fault = fault; sv_txs = txs; sv_crash = crash; sv_reason = reason }
   in
-  match only_crash with
-  | Some k -> (
-    match serve_run ~fault ~txs ~crash:(Some k) with
-    | Some reason, _, _, _ -> fail ~crash:(Some k) reason
-    | None, s, a, sd -> Serve_pass { runs = 1; boundaries = s; acked = a; shed = sd })
-  | None -> (
-    log
-      (Printf.sprintf
-         "serve: %d closed-loop clients x %d reqs over %d shards x %d tenants, clean run"
-         serve_npairs txs serve_nshards serve_ntenants);
-    match serve_run ~fault ~txs ~crash:None with
-    | Some reason, _, _, _ -> fail ~crash:None reason
-    | None, total, acked0, shed0 ->
-      let budget = serve_sites_budget () in
-      let runs = ref 1 in
-      let acked = ref acked0 in
-      let shed = ref shed0 in
-      let result = ref None in
-      let picks =
-        if total <= budget then List.init total (fun i -> i + 1)
-        else List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
+  Option.iter report (C.error ~who:"engine" ended);
+  let verdict =
+    match !err with
+    | Some _ -> !err
+    | None -> (
+      Array.iter Nvm.crash nvms;
+      match Srv.Sh.attach ~nshards:serve_nshards cfg nvms with
+      | exception e -> Some ("recovery raised " ^ Printexc.to_string e)
+      | sh2, _recovery ->
+        let verdict = ref None in
+        let fail r = if !verdict = None then verdict := Some r in
+        for p = 0 to serve_npairs - 1 do
+          let e = Srv.Sh.engine sh2 (sv_shard_of p) in
+          let ra = Int64.to_int (Srv.Engine.heap_read_u64 e (sv_slot_a p)) in
+          let rb = Int64.to_int (Srv.Engine.heap_read_u64 e (sv_slot_b p)) in
+          if ra <> rb then
+            fail
+              (Printf.sprintf "half-applied request: pair %d recovered %d/%d" p ra rb);
+          if ra < acked.(p) then
+            fail
+              (Printf.sprintf
+                 "acked request lost: pair %d acked %d, recovery found %d" p acked.(p)
+                 ra);
+          if ra > submitted.(p) then
+            fail
+              (Printf.sprintf "phantom request: pair %d recovered %d, submitted %d" p
+                 ra submitted.(p));
+          if ended <> C.Cut && ra <> txs then
+            fail
+              (Printf.sprintf "quiescent stop lost requests: pair %d is %d, expected %d"
+                 p ra txs)
+        done;
+        !verdict)
+  in
+  {
+    C.verdict;
+    seen = [ cut.seen ];
+    tallies = [ ("acked requests", Array.fold_left ( + ) 0 acked); ("shed", !shed) ];
+  }
+
+
+(* ------------------------------------------------------------------ *)
+(* One entry point                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The flags each campaign accepts, with their defaults ("" = unset), and
+   how many cuts deep a replay may go. *)
+let spec = function
+  | C.Engine ->
+    ( [
+        ("--system", "dude");
+        ("--workload", "all");
+        ("--threads", "3");
+        ("--txs", "2");
+        ("--sched", "");
+        ("--evict", "0");
+        ("--evict-seed", "1");
+        ("--crash-budget", "0");
+        ("--sched-seeds", "-1");
+      ],
+      1 )
+  | C.Media ->
+    ([ ("--system", "dude"); ("--media-seed", ""); ("--faults", ""); ("--media-seeds", "6") ], 1)
+  | C.Recovery -> ([ ("--leg", ""); ("--rec-seeds", "0") ], 3)
+  | C.Daemons -> ([ ("--daemon-seed", ""); ("--fault-rate", "0.25") ], 1)
+  | C.Shards -> ([ ("--shard-count", "3"); ("--txs", "10") ], 1)
+  | C.Batch -> ([ ("--txs", "12") ], 2)
+  | C.Replica -> ([ ("--replicas", "3"); ("--txs", "10"); ("--scenario", "") ], 1)
+  | C.Migrate -> ([], 2)
+  | C.Snapshot -> ([ ("--txs", "12") ], 1)
+  | C.Serve -> ([ ("--txs", "10") ], 1)
+
+let run ?(fault = Config.No_fault) ?(level = C.env_level ()) ?(log = ignore) ?(args = [])
+    ?(cuts = []) campaign =
+  let declared, depth = spec campaign in
+  let flag = "--" ^ C.name campaign in
+  List.iter
+    (fun (k, _) ->
+      if not (List.mem_assoc k declared) then
+        invalid_arg (Printf.sprintf "%s is not a %s flag" k flag))
+    args;
+  if List.length cuts > depth then
+    invalid_arg (Printf.sprintf "%s is not a %s flag" (List.nth C.cut_flags depth) flag);
+  let str k = List.assoc k (args @ declared) in
+  let opt k = match str k with "" -> None | v -> Some v in
+  let num of_string k =
+    match of_string (str k) with
+    | Some v -> v
+    | None -> invalid_arg (Printf.sprintf "%s expects a number, got %S" k (str k))
+  in
+  let int = num int_of_string_opt and float = num float_of_string_opt in
+  let int_opt k = Option.map (fun _ -> int k) (opt k) in
+  let sites = 60 * C.scale level in
+  (* A layer campaign's coordinates are its declared flags. *)
+  let scenario ?(sites = sites) ?two_deep ?(args = List.map (fun (k, _) -> (k, str k)) declared)
+      run =
+    { C.campaign; fault; args; sites; two_deep; run }
+  in
+  let sweep scenarios =
+    if cuts = [] then C.sweep ~log scenarios else C.replay (List.hd scenarios) cuts
+  in
+  match campaign with
+  | C.Engine -> (
+    let sut = sut_of_name ~fault (str "--system") in
+    let threads = int "--threads" and txs = int "--txs" in
+    let wls =
+      match str "--workload" with
+      | "all" -> workloads_for sut ~threads ~txs
+      | w -> [ workload_of_name ~threads ~txs w ]
+    in
+    let evict =
+      if float "--evict" > 0.0 then Some (float "--evict", int "--evict-seed") else None
+    in
+    match opt "--sched" with
+    | None when cuts = [] ->
+      let b = engine_budget level in
+      let crash_sites = int "--crash-budget" and sched_seeds = int "--sched-seeds" in
+      let budget =
+        {
+          b with
+          crash_sites = (if crash_sites > 0 then crash_sites else b.crash_sites);
+          sched_seeds = (if sched_seeds >= 0 then sched_seeds else b.sched_seeds);
+        }
       in
-      log
-        (Printf.sprintf
-           "serve: %d persist boundaries across %d devices, cutting power at %d of them \
-            mid-burst"
-           total serve_nshards (List.length picks));
-      List.iter
-        (fun k ->
-          if !result = None then begin
-            incr runs;
-            match serve_run ~fault ~txs ~crash:(Some k) with
-            | Some reason, _, _, _ -> result := Some (fail ~crash:(Some k) reason)
-            | None, _, a, sd ->
-              acked := !acked + a;
-              shed := !shed + sd
-          end)
-        picks;
-      match !result with
-      | Some f -> f
-      | None ->
-        Serve_pass { runs = !runs; boundaries = total; acked = !acked; shed = !shed })
+      check_system ~budget ~log ?evict sut wls
+    | sched ->
+      let spec = Option.fold sched ~none:Default ~some:sched_of_string in
+      let crash = C.cut_at cuts 0 in
+      let outcomes =
+        List.map (fun wl -> (wl, run_and_verify ?evict ~sut ~wl ~spec ~crash ())) wls
+      in
+      match List.find_opt (fun (_, (err, _)) -> err <> None) outcomes with
+      | Some (wl, (Some reason, o)) ->
+        C.Fail (fail_of ~sut ?evict ~survivors:o.oc_survivors (wl, spec, crash, reason))
+      | _ ->
+        C.Pass
+          {
+            runs = List.length wls;
+            boundaries = List.fold_left (fun n (_, (_, o)) -> n + o.oc_sites) 0 outcomes;
+            tallies = [];
+          })
+  | C.Media ->
+    if str "--system" <> "dude" then invalid_arg "--media runs on --system dude only";
+    let replay =
+      match (opt "--faults", int_opt "--media-seed") with
+      | Some mode, Some seed -> Some (media_mode_of_string mode, seed, C.cut_at cuts 0)
+      | None, None when cuts = [] -> None
+      | _ -> invalid_arg "--media replays one case from --media-seed, --faults and --crash-at"
+    in
+    check_media ~fault ~seeds:(int "--media-seeds") ~log ~replay
+  | C.Recovery ->
+    let b = if level = C.Quick then smoke_recovery_budget else quick_recovery_budget in
+    let budget = if int "--rec-seeds" > 0 then { b with rec_seeds = int "--rec-seeds" } else b in
+    let leg = Option.map leg_of_string (opt "--leg") in
+    if leg = None && cuts <> [] then invalid_arg "--recovery replays one case from --leg";
+    check_recovery ~fault ~budget ~log ~leg ~cuts
+  | C.Daemons ->
+    let only_seed = int_opt "--daemon-seed" in
+    if only_seed = None && cuts <> [] then
+      invalid_arg "--daemons replays one case from --daemon-seed";
+    check_daemons
+      ~seeds:(if level = C.Quick then 2 else 4)
+      ~rate:(float "--fault-rate") ~log ~only_seed ~cuts
+  | C.Shards ->
+    let nshards = int "--shard-count" in
+    if nshards < 2 then invalid_arg "--shards needs --shard-count 2 or more";
+    sweep [ scenario (shard_run ~fault ~nshards ~txs:(int "--txs")) ]
+  | C.Batch -> sweep [ scenario ~two_deep:15 (batch_run ~fault ~txs:(int "--txs")) ]
+  | C.Replica ->
+    let nreplicas = int "--replicas" and txs = int "--txs" in
+    let scenarios =
+      match opt "--scenario" with
+      | Some sc -> [ replica_scenario_of_string sc ]
+      | None when cuts = [] -> [ Rclean; Rfaulty; Rpartition ]
+      | None -> invalid_arg "--replica replays one primary kill from --scenario and --crash-at"
+    in
+    (* The site budget is split across the link scenarios. *)
+    let sites = max 4 (sites / List.length scenarios) in
+    sweep
+      (List.map
+         (fun sc ->
+           let args =
+             [
+               ("--replicas", str "--replicas");
+               ("--txs", str "--txs");
+               ("--scenario", replica_scenario_to_string sc);
+             ]
+           in
+           scenario ~sites ~args (replica_run ~fault ~nreplicas ~txs ~scenario:sc))
+         scenarios)
+  | C.Migrate -> sweep [ scenario ~two_deep:20 (migrate_run ~fault) ]
+  | C.Snapshot -> sweep [ scenario (snapshot_run ~fault ~txs:(int "--txs")) ]
+  | C.Serve -> sweep [ scenario (serve_run ~fault ~txs:(int "--txs")) ]

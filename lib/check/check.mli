@@ -37,9 +37,6 @@
     Failures are shrunk to a minimal [(workload, schedule, crash point)]
     triple and printed as a replayable [dudetm check ...] one-liner. *)
 
-exception Crash_now
-(** Raised from the persist hook to cut power at an exact boundary. *)
-
 (** {1 Systems under test} *)
 
 type recovered = {
@@ -58,7 +55,8 @@ type instance = {
 }
 
 type sut = {
-  sut_name : string;
+  sut_name : string;  (** the [--system] name *)
+  sut_fault : Dudetm_core.Config.fault;  (** seeded mutant in force *)
   sut_static : bool;  (** only static-transaction workloads apply *)
   fresh : unit -> instance;  (** a brand-new system on a fresh device *)
 }
@@ -82,6 +80,9 @@ val sut_of_name : ?fault:Dudetm_core.Config.fault -> string -> sut
     [Invalid_argument] otherwise.  [fault] only applies to DudeTM. *)
 
 val sut_names : string list
+
+val sut_label : sut -> string
+(** The system name, suffixed [+MUTANT] when a mutant is seeded. *)
 
 (** {1 Workloads} *)
 
@@ -129,9 +130,10 @@ type budget = {
 }
 
 val tier1_budget : unit -> budget
-(** The bounded budget used by [dune runtest].  Environment knobs:
-    [DUDETM_CHECK_BUDGET=n] multiplies the exploration counts by [n];
-    [DUDETM_CHECK_DEEP=1] switches to {!deep_budget}. *)
+(** The bounded budget used by [dune runtest], scaled by
+    {!Campaign.env_level}: [DUDETM_CHECK_BUDGET=n] multiplies the
+    exploration counts by [n]; [DUDETM_CHECK_DEEP=1] switches to
+    {!deep_budget}. *)
 
 val deep_budget : budget
 (** The budget behind [dudetm check --deep]. *)
@@ -153,36 +155,21 @@ val sched_of_string : string -> sched_spec
 (** Inverse of {!sched_to_string} (["default"], ["seed:N"],
     ["prefix:c0,c1,..."]); raises [Invalid_argument] on junk. *)
 
-type failure = {
-  f_system : string;
-  f_workload : string;
-  f_threads : int;
-  f_txs : int;
-  f_sched : sched_spec;
-  f_crash : int option;  (** crash boundary; [None]: power loss after quiescence *)
-  f_evict : (float * int) option;
-      (** cache-eviction adversary in force: (fraction, RNG seed) — each
-          dirty line independently leaked into the persisted image with
-          this probability at the power cut *)
-  f_survivors : int list;
-      (** the dirty lines that actually leaked in the failing run (makes
-          the eviction exactly replayable together with the seed) *)
-  f_reason : string;
-}
-
-type report = Pass of { runs : int; sites : int } | Fail of failure
-
-val replay_line : failure -> string
-(** The deterministically replayable [dudetm check ...] one-liner. *)
-
 val check_system :
-  ?budget:budget -> ?log:(string -> unit) -> ?evict:float * int -> sut -> workload list -> report
+  ?budget:budget ->
+  ?log:(string -> unit) ->
+  ?evict:float * int ->
+  sut ->
+  workload list ->
+  Campaign.report
 (** Run the full exploration.  [evict] runs every crash under the
     cache-eviction adversary: a seeded random subset of dirty lines
     survives each power cut ({!Dudetm_nvm.Nvm.crash}).  On the first
     oracle violation the failing case is shrunk (default schedule
     preferred, then fewest transactions, then earliest crash boundary)
-    before being reported. *)
+    before being reported, with the system, workload, thread and
+    transaction counts, schedule and eviction adversary as its coordinates
+    and the crash boundary as its one cut. *)
 
 val replay :
   ?evict:float * int -> sut -> workload -> sched:sched_spec -> crash:int option -> string option
@@ -191,516 +178,87 @@ val replay :
 val count_sites : sut -> workload -> sched:sched_spec -> int
 (** Number of crash boundaries one run of this case passes through. *)
 
-(** {1 Media-fault campaign}
 
-    Beyond clean power cuts, the campaign attacks the {e media}: after a
-    crash (or at quiescence) it injects seeded faults —
-    {!Dudetm_nvm.Nvm.fault} bit rot, poisoned lines, stuck lines — into
-    the persisted image, runs the offline scrub
-    ({!Dudetm_scrub.Scrub.scrub}), recovers, and holds the system to a
-    single obligation: {b never silently wrong}.  Each run must either
-    recover state that passes the normal crash oracle, or the damage must
-    have been {e reported} — a non-clean scrub report, or corrupted
-    records / quarantined lines in the recovery report.  Undetected
-    corruption of visible state is the only failure.
+(** {1 Campaigns}
 
-    Heap bit rot is confined to the workload's live bytes so detection is
-    deterministic, and ring rot never targets the last sealed record of a
-    ring (indistinguishable from a torn tail, which is silently and
-    correctly discarded).  The campaign validates itself against the
-    seeded {!Dudetm_core.Config.Skip_crc_verify} mutant, whose skipped
-    checksum audit lets heap rot through unreported. *)
+    Every campaign runs through {!run} on the {!Campaign} kernel and
+    returns a {!Campaign.report}.  Only its scenario and oracle are its
+    own:
 
-type media_mode =
-  | Heap_rot  (** 1-3 distinct bit flips in the live heap bytes *)
-  | Mixed  (** 1-3 faults drawn from heap rot, ring rot, poison, stuck *)
+    - {b [Engine]}: {!check_system} over one system ([--system]).
+    - {b [Media]}: after a crash (or at quiescence) seeded media faults —
+      bit rot in the live heap bytes, ring rot (never the last sealed
+      record, which is indistinguishable from a torn tail), poisoned and
+      stuck lines — are injected into the persisted image, the offline
+      scrub runs, then recovery.  Oracle: {b never silently wrong} — the
+      recovered state passes the crash oracle, or the damage was reported
+      (non-clean scrub, corrupted records or quarantined lines).  Per seed:
+      heap rot and mixed faults at quiescence, mixed faults at a
+      seed-derived boundary.  Catches {!Dudetm_core.Config.Skip_crc_verify}.
+    - {b [Recovery]}: recovery must itself be crash-consistent.  For each
+      first power cut (quiescence plus seed-derived boundaries) it cuts
+      power inside [attach] (all boundaries) and inside the repairing,
+      probing scrub (sampled, always including the probes of the live
+      lines), and two deep inside the recovery of a crashed recovery.
+      Oracle: a final uninterrupted attach reproduces the uninterrupted
+      recovery's verdict field-for-field and passes the crash oracle.
+      Catches {!Dudetm_core.Config.Skip_recovery_journal}.
+    - {b [Daemons]}: Persist and Reproduce workers raise seeded transient
+      faults ([--fault-rate]) and are restarted by their supervisor; a
+      quiescent run and a mid-run power cut per seed must still satisfy the
+      crash oracle.  A sweep without a single restart fails as vacuous.
+    - {b [Shards]}: cross-shard transfers over a sharded instance, cut on
+      every shard's device.  Oracle: no partial transfer (pairwise stamps
+      agree, the balance sum over durably-seeded shards holds) and nothing
+      the vector watermark acknowledged is lost.  Catches
+      {!Dudetm_core.Config.Skip_fragment_gate}.
+    - {b [Batch]}: the pipelined combine/flush group commit with small
+      batches, cut at every boundary (including between a batch's seal and
+      its record's fence) and, two deep, in the recovered engine's second
+      life.  Oracle: the durable prefix — everything the watermark
+      acknowledged survives, recovery's durable ID matches the image, every
+      slot holds the prefix's last write.  Catches
+      {!Dudetm_core.Config.Skip_batch_seal}.
+    - {b [Replica]}: a primary plus K replicas over clean, faulty
+      (drop / duplicate / reorder / delay / corrupt) and partitioned links;
+      the primary is killed at sampled boundaries of its device and a
+      replica promoted.  Oracle: no quorum-acked transaction lost, the
+      promoted image is the durable-prefix model state, a quorum-drained
+      stop loses nothing.  Catches {!Dudetm_core.Config.Skip_quorum_gate}.
+    - {b [Migrate]}: a live 4->8 resharding under traffic, cut on all
+      devices (in the double-write window, between the flip's seals,
+      mid-cleanup) and, two deep, between recovery's own handoff seals.
+      Oracle: the persisted descriptor routes every key to exactly one
+      shard, no acknowledged write is lost, the completed schedule
+      converges with every moved range recycled.  Catches
+      {!Dudetm_core.Config.Skip_handoff_seal}.
+    - {b [Snapshot]}: pair writers against a read-only snapshot reader in
+      volatile and durable mode.  Oracle: no completed read-set is torn,
+      and every durable-mode value survives the cut.  Catches
+      {!Dudetm_core.Config.Skip_snapshot_validate}.
+    - {b [Serve]}: closed-loop clients through the serving front end's
+      queue, admission gate and durable-watermark acker on 2 shards.
+      Oracle: no half-applied request, no acknowledged request lost, no
+      phantom, quiescent exactness.  Catches
+      {!Dudetm_core.Config.Skip_admission_gate}. *)
 
-val media_mode_to_string : media_mode -> string
-
-val media_mode_of_string : string -> media_mode
-(** ["heap" | "mixed"]; raises [Invalid_argument] otherwise. *)
-
-type media_failure = {
-  mf_mode : media_mode;
-  mf_seed : int;  (** fault-injection RNG seed *)
-  mf_crash : int option;  (** crash boundary; [None]: faults at quiescence *)
-  mf_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  mf_faults : string;  (** human-readable list of the injected faults *)
-  mf_reason : string;
-}
-
-type media_report =
-  | Media_pass of { runs : int; injected : int }
-  | Media_fail of media_failure
-
-val media_replay_line : media_failure -> string
-(** The replayable [dudetm check --media ...] one-liner. *)
-
-val check_media :
+val run :
   ?fault:Dudetm_core.Config.fault ->
-  ?seeds:int ->
+  ?level:Campaign.level ->
   ?log:(string -> unit) ->
-  ?mode:media_mode ->
-  ?media_seed:int ->
-  ?crash:int ->
-  unit ->
-  media_report
-(** Run the campaign: for each seed in [1..seeds] (default
-    {!default_media_seeds}), heap rot at quiescence, mixed faults at
-    quiescence, and mixed faults at a seed-derived crash boundary.
-    Passing both [mode] and [media_seed] (with optional [crash]) replays
-    exactly one case instead. *)
-
-val default_media_seeds : int
-
-(** {1 Nested-crash recovery campaign}
-
-    Recovery must itself be crash-consistent: [attach] and the offline
-    scrub order every destructive recovery-time write behind the intent
-    journal ({!Dudetm_core.Rjournal}), so a power cut at {e any} persist
-    boundary inside them, followed by a fresh [attach], converges to the
-    same durable ID, heap state and recovery report as an uninterrupted
-    recovery of the same image.
-
-    The campaign enumerates exactly that: for each first power cut (at
-    quiescence plus seed-derived mid-run boundaries), it measures the
-    uninterrupted recovery verdict as the baseline, then re-arms the
-    persist hook {e during} recovery — cutting power inside [attach] (all
-    boundaries) and inside [Scrub.scrub ~repair:true ~probe_stuck:true]
-    (sampled boundaries, always including the probes of the workload's
-    live lines) — and goes two deep by also cutting the recovery of a
-    crashed recovery.  Every leg ends in an uninterrupted attach that must
-    reproduce the baseline verdict field-for-field and pass the normal
-    crash oracle.
-
-    The campaign validates itself against the seeded
-    {!Dudetm_core.Config.Skip_recovery_journal} mutant: without the
-    journal, a cut between a scrub probe's pattern write and its restore
-    leaves garbage in live heap bytes that no log record repairs. *)
-
-type recovery_leg = Attach_leg | Scrub_leg
-
-val leg_to_string : recovery_leg -> string
-
-val leg_of_string : string -> recovery_leg
-(** ["attach" | "scrub"]; raises [Invalid_argument] otherwise. *)
-
-type recovery_budget = {
-  rec_seeds : int;  (** seed-derived first-crash boundaries (plus quiescence) *)
-  rec_attach_sites : int;  (** boundaries cut inside [attach] (all, up to this) *)
-  rec_scrub_sites : int;  (** sampled boundaries cut inside the scrub *)
-  rec_deep_points : int;  (** first-recovery cuts that get a nested sweep *)
-  rec_deep_sites : int;  (** sampled boundaries inside the second recovery *)
-}
-
-val quick_recovery_budget : recovery_budget
-(** Behind [dudetm check --recovery]. *)
-
-val smoke_recovery_budget : recovery_budget
-(** The bounded tier-1 numbers. *)
-
-type recovery_failure = {
-  rcf_fault : Dudetm_core.Config.fault;
-  rcf_crash : int option;  (** first power cut; [None]: at quiescence *)
-  rcf_leg : recovery_leg;  (** which recovery step was cut *)
-  rcf_crash2 : int option;  (** boundary cut inside that step *)
-  rcf_crash3 : int option;  (** boundary cut inside the second recovery *)
-  rcf_reason : string;
-}
-
-type recovery_report =
-  | Recovery_pass of { runs : int; boundaries : int }
-  | Recovery_fail of recovery_failure
-
-val recovery_replay_line : recovery_failure -> string
-(** The replayable [dudetm check --recovery ...] one-liner. *)
-
-val check_recovery :
-  ?fault:Dudetm_core.Config.fault ->
-  ?budget:recovery_budget ->
-  ?log:(string -> unit) ->
-  ?leg:recovery_leg ->
-  ?crash:int ->
-  ?crash2:int ->
-  ?crash3:int ->
-  unit ->
-  recovery_report
-(** Run the campaign.  Passing [leg] (with optional [crash], [crash2],
-    [crash3]) replays exactly one nested-crash case instead. *)
-
-(** {1 Daemon fault-injection campaign}
-
-    With {!Dudetm_core.Config.daemon_fault_rate} armed, Persist and
-    Reproduce workers raise seeded transient faults mid-pipeline and the
-    supervisor restarts them from their persistent positions with capped
-    exponential backoff.  The sweep holds such runs to the ordinary crash
-    oracle — quiescent runs must still drain completely and lose nothing,
-    mid-run power cuts must still recover exactly — so injected failures
-    may move only the restart/backoff counters, never the recovered
-    state.  A sweep in which no daemon ever restarted is reported as
-    vacuous (and fails). *)
-
-type daemon_failure = {
-  df_seed : int;
-  df_crash : int option;
-  df_rate : float;
-  df_reason : string;
-}
-
-type daemon_report =
-  | Daemon_pass of { runs : int; faults : int; restarts : int }
-  | Daemon_fail of daemon_failure
-
-val daemon_replay_line : daemon_failure -> string
-
-val default_daemon_rate : float
-
-val check_daemons :
-  ?seeds:int ->
-  ?rate:float ->
-  ?log:(string -> unit) ->
-  ?only_seed:int ->
-  ?crash:int ->
-  unit ->
-  daemon_report
-(** For each seed: a quiescent run and a mid-run power cut, both with
-    faults injected at [rate].  [only_seed] (with optional [crash])
-    replays a single case. *)
-
-(** {1 Sharded cross-commit campaign}
-
-    Cross-shard transactions must be all-or-nothing across {e independent}
-    persistent devices: the campaign drives mixed cross-shard transfers and
-    single-shard transactions over a small {!Dudetm_shard.Shard} instance,
-    cuts power at every persist boundary of every shard's device (budget
-    permitting), re-attaches, and checks that
-
-    - no partial cross-shard transaction survives recovery — both sides of
-      every transfer wrote the same pairwise stamp, so the sides must
-      agree, and the balance sum over durably-seeded shards is preserved;
-    - nothing acknowledged by the effective vector watermark before the
-      cut is missing afterwards (per-shard durable IDs and the global
-      cross-shard frontier).
-
-    The campaign validates itself against the seeded
-    {!Dudetm_core.Config.Skip_fragment_gate} mutant, whose Reproduce
-    daemons replay cross-shard fragments without waiting for the sibling
-    fragments to be durable. *)
-
-type shard_failure = {
-  shf_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  shf_nshards : int;
-  shf_txs : int;  (** cross-shard transfers driven *)
-  shf_crash : int option;
-      (** failing persist boundary; [None]: the clean quiescent run *)
-  shf_reason : string;
-}
-
-type shard_report =
-  | Shard_pass of { runs : int; boundaries : int }
-  | Shard_fail of shard_failure
-
-val shard_replay_line : shard_failure -> string
-(** The replayable [dudetm check --shards ...] one-liner. *)
-
-val default_shard_count : int
-
-val default_shard_txs : int
-
-val check_shards :
-  ?fault:Dudetm_core.Config.fault ->
-  ?nshards:int ->
-  ?txs:int ->
-  ?log:(string -> unit) ->
-  ?only_crash:int ->
-  unit ->
-  shard_report
-(** Run the campaign: one clean run to quiescence counts the persist
-    boundaries, then power cuts at each of them (all when the budget —
-    scaled by [DUDETM_CHECK_BUDGET] / [DUDETM_CHECK_DEEP] — covers the
-    count, an evenly-spread ascending sample otherwise).  [only_crash]
-    replays exactly one boundary instead. *)
-
-(** {1 Batch-boundary crash campaign}
-
-    [dudetm check --batch] drives the {e pipelined combined} persist path
-    — the combiner/flusher two-stage group commit — with small groups and
-    a short deadline, and cuts power at every persist boundary of a short
-    multi-threaded counter run.  Because the combiner seals batch [k+1]
-    while the flusher's record for batch [k] is still in flight, the
-    sweep necessarily lands cuts {e mid-pipeline}: after a seal but
-    before the matching NVM append.  The oracle is the durable prefix:
-    the recovered commit count covers everything the durable watermark
-    ever acknowledged, recovery's reported durable ID matches the data
-    image, and every slot holds the last write the recovered prefix made
-    to it (last-write-per-key).
-
-    The two-deep leg re-crashes a recovery: cut at boundary [k1], attach,
-    keep committing on the recovered engine, cut again at boundary [k2]
-    of the second life, attach again, re-verify.
-
-    The campaign validates itself against the seeded
-    {!Dudetm_core.Config.Skip_batch_seal} mutant, which publishes
-    durability when a batch is sealed instead of when its record is
-    appended and fenced. *)
-
-type batch_failure = {
-  bt_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  bt_txs : int;  (** transactions per thread, per life *)
-  bt_crash : int option;
-      (** failing persist boundary; [None]: the clean quiescent run *)
-  bt_crash2 : int option;
-      (** second cut (boundaries counted after the first recovery) *)
-  bt_reason : string;
-}
-
-type batch_report =
-  | Batch_pass of { runs : int; boundaries : int }
-  | Batch_fail of batch_failure
-
-val batch_replay_line : batch_failure -> string
-(** The replayable [dudetm check --batch ...] one-liner. *)
-
-val default_batch_txs : int
-
-val check_batch :
-  ?fault:Dudetm_core.Config.fault ->
-  ?txs:int ->
-  ?log:(string -> unit) ->
-  ?only_crash:int ->
-  ?only_crash2:int ->
-  unit ->
-  batch_report
-(** Run the campaign: a clean pipelined run counts persist boundaries,
-    then a single-cut sweep over them, then the two-deep re-crash sweep —
-    all bounded by the [DUDETM_CHECK_BUDGET]-scaled site budget.
-    [only_crash] (optionally with [only_crash2]) replays exactly one
-    case instead. *)
-
-(** {1 Replicated-durability failover campaign}
-
-    [dudetm check --replica] drives a {!Dudetm_replica.Replica} cluster —
-    one primary plus K replicas behind simulated links — through the
-    counter workload, kills the primary (power cut at sampled persist
-    boundaries of the primary's device, which lands cuts at ship, ack and
-    mid-retransmit points because shipping hangs off the persist path),
-    promotes a replica, and verifies:
-
-    - {b no quorum-acked transaction lost}: the promoted durable ID covers
-      the acked watermark at the cut, and the watermark never passed the
-      quorum prefix;
-    - {b durable-prefix state}: the promoted image is exactly the model
-      state after the recovered commit count (the differential oracle);
-    - {b quiescence}: a run that drained to [Quorum] and stopped cleanly
-      promotes every committed transaction.
-
-    Three link scenarios: [clean], [faulty] (seeded drop / duplicate /
-    reorder / delay / corrupt), and [partition] (one replica partitioned
-    mid-run, healed later — crash points cover both the partition window
-    and catch-up-after-heal).  The campaign validates itself against the
-    seeded {!Dudetm_core.Config.Skip_quorum_gate} mutant, which
-    acknowledges at the primary-local seal while frames are still in
-    flight. *)
-
-type replica_scenario = Rclean | Rfaulty | Rpartition
-
-val replica_scenario_to_string : replica_scenario -> string
-
-val replica_scenario_of_string : string -> replica_scenario
-(** ["clean" | "faulty" | "partition"]; raises [Invalid_argument]
-    otherwise. *)
-
-type replica_failure = {
-  rf_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  rf_nreplicas : int;
-  rf_txs : int;  (** transactions per thread *)
-  rf_scenario : replica_scenario;
-  rf_crash : int option;
-      (** failing primary persist boundary; [None]: the quiescent run *)
-  rf_reason : string;
-}
-
-type replica_report =
-  | Replica_pass of { runs : int; boundaries : int }
-  | Replica_fail of replica_failure
-
-val replica_replay_line : replica_failure -> string
-(** The replayable [dudetm check --replica ...] one-liner. *)
-
-val default_replica_count : int
-
-val default_replica_txs : int
-
-val check_replica :
-  ?fault:Dudetm_core.Config.fault ->
-  ?nreplicas:int ->
-  ?txs:int ->
-  ?log:(string -> unit) ->
-  ?scenario:replica_scenario ->
-  ?only_crash:int ->
-  unit ->
-  replica_report
-(** Run the campaign: per scenario, one quiescent run counts the primary's
-    persist boundaries, then primary kills at an evenly-spread sample of
-    them (the [DUDETM_CHECK_BUDGET]-scaled site budget, split across
-    scenarios).  [scenario] restricts the sweep; [scenario] plus
-    [only_crash] replays exactly one case. *)
-
-(** {1 Live-migration (resharding) crash campaign}
-
-    [dudetm check --migrate] drives a live 4->8 resharding — 8 engines, an
-    8-bucket partition initially owned by shards 0-3, four migrations each
-    handing an odd bucket to a fresh shard 4-7 — under application traffic
-    that keeps landing increments inside and outside the moving range, and
-    cuts power at persist boundaries counted across every device, so cuts
-    fall inside the double-write window, between the flip's three handoff
-    seals, and mid-cleanup.  After each cut the shards re-attach, the
-    handoff journal votes roll-back or roll-forward, the schedule is
-    completed, and the oracle verifies:
-
-    - {b routing}: the persisted partition descriptor unseals (CRC + shard
-      count) and routes every key to exactly one shard;
-    - {b no acked write lost}: each key's value at its descriptor-routed
-      owner covers everything the sampled vector watermark acknowledged,
-      and never exceeds the commit count;
-    - {b convergence}: the completed schedule reaches the final owner
-      table with exact counts and every moved range's source slots
-      recycled to zero (no unreachable heap extents).
-
-    The two-deep leg re-arms the crash hooks before the first re-attach,
-    so the second cut can land between recovery's own handoff seals; the
-    third attach must still converge.  The campaign validates itself
-    against the seeded {!Dudetm_core.Config.Skip_handoff_seal} mutant,
-    which flips volatile routing without sealing the handoff record or
-    the new descriptor. *)
-
-type migrate_failure = {
-  mg_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  mg_crash : int option;
-      (** failing persist boundary; [None]: the quiescent run *)
-  mg_crash2 : int option;
-      (** second cut, counted from the first re-attach on *)
-  mg_reason : string;
-}
-
-type migrate_report =
-  | Migrate_pass of { runs : int; boundaries : int }
-  | Migrate_fail of migrate_failure
-
-val migrate_replay_line : migrate_failure -> string
-(** The replayable [dudetm check --migrate ...] one-liner. *)
-
-val check_migrate :
-  ?fault:Dudetm_core.Config.fault ->
-  ?log:(string -> unit) ->
-  ?only_crash:int ->
-  ?only_crash2:int ->
-  unit ->
-  migrate_report
-(** Run the campaign: one clean resharding run counts the persist
-    boundaries, then power cuts at an evenly-spread sample of them (the
-    [DUDETM_CHECK_BUDGET]-scaled site budget), then the two-deep sweep.
-    [only_crash] (optionally with [only_crash2]) replays exactly one
-    case. *)
-
-(** {1 Snapshot-read crash campaign}
-
-    [dudetm check --snapshot] runs pair-writer transactions — every
-    commit writes the {e same} value to both slots of one pair — against
-    a concurrent read-only snapshot reader alternating volatile and
-    durable-only mode on the pipelined group-commit engine, and cuts
-    power at sampled persist boundaries while the durable reads run.
-    Two oracles:
-
-    - {b consistency}: every completed snapshot read-set satisfies
-      [va = vb].  A reader whose epoch extension spans a writer's commit
-      must either retry (validated extension) or see none of its writes;
-      the {!Dudetm_core.Config.Skip_snapshot_validate} mutant slides the
-      epoch forward without revalidating and returns one old and one new
-      half of a pair — a torn read-set.
-    - {b durable prefix}: a durable-mode read of value [v] proves [v]
-      transactions on that pair were durable when the read completed, so
-      recovery after the cut must find at least [v] on that pair — and
-      never more than were committed. *)
-
-type snapshot_failure = {
-  sn_fault : Dudetm_core.Config.fault;  (** seeded engine mutant in force *)
-  sn_txs : int;  (** transactions per writer thread *)
-  sn_crash : int option;
-      (** failing persist boundary; [None]: the clean quiescent run *)
-  sn_reason : string;
-}
-
-type snapshot_report =
-  | Snapshot_pass of { runs : int; boundaries : int; reads : int }
-  | Snapshot_fail of snapshot_failure
-
-val snapshot_replay_line : snapshot_failure -> string
-(** The replayable [dudetm check --snapshot ...] one-liner. *)
-
-val default_snapshot_txs : int
-
-val check_snapshot :
-  ?fault:Dudetm_core.Config.fault ->
-  ?txs:int ->
-  ?log:(string -> unit) ->
-  ?only_crash:int ->
-  unit ->
-  snapshot_report
-(** Run the campaign: a clean run (readers active throughout) counts the
-    persist boundaries, then power cuts at an evenly-spread sample of
-    them (the [DUDETM_CHECK_BUDGET]-scaled site budget).  [only_crash]
-    replays exactly one case. *)
-
-(** {1 Serving front-end crash campaign}
-
-    [dudetm check --serve] drives the full serving front end
-    ({!Dudetm_serve.Serve}: bounded request queue, hysteresis admission
-    gate, deficit-round-robin dispatch, durable-watermark acker) with one
-    closed-loop client session per key pair over a 2-shard engine, and
-    cuts power mid-burst at sampled persist boundaries counted across
-    both devices.  Every write of value [v] stamps both slots of its
-    pair; values are dense increments; a client records [v] as {e acked}
-    only once its reply arrives.  The acked-prefix oracle after
-    re-attach:
-
-    - {b no half-applied request}: both slots of every pair agree;
-    - {b no acked request lost}: the recovered value covers the largest
-      acked value — a reply is a durability promise.  The
-      {!Dudetm_core.Config.Skip_admission_gate} mutant releases write
-      replies at commit instead of the durable watermark, so a cut in
-      the commit-to-persist window fails exactly this check;
-    - {b no phantom}: the recovered value never exceeds the largest
-      submitted value;
-    - {b quiescent exactness}: with no cut, every pair recovers to
-      exactly [txs]. *)
-
-type serve_failure = {
-  sv_fault : Dudetm_core.Config.fault;  (** seeded mutant in force *)
-  sv_txs : int;  (** requests per client session *)
-  sv_crash : int option;
-      (** failing persist boundary; [None]: the clean quiescent run *)
-  sv_reason : string;
-}
-
-type serve_report =
-  | Serve_pass of { runs : int; boundaries : int; acked : int; shed : int }
-  | Serve_fail of serve_failure
-
-val serve_replay_line : serve_failure -> string
-(** The replayable [dudetm check --serve ...] one-liner. *)
-
-val default_serve_txs : int
-
-val check_serve :
-  ?fault:Dudetm_core.Config.fault ->
-  ?txs:int ->
-  ?log:(string -> unit) ->
-  ?only_crash:int ->
-  unit ->
-  serve_report
-(** Run the campaign: a clean run (shedding and gate transitions active —
-    the campaign queue is deliberately small) counts the persist
-    boundaries, then power cuts at an evenly-spread sample of them (the
-    [DUDETM_CHECK_BUDGET]-scaled site budget).  [only_crash] replays
-    exactly one boundary. *)
+  ?args:(string * string) list ->
+  ?cuts:int list ->
+  Campaign.campaign ->
+  Campaign.report
+(** Run one campaign.  [args] are CLI flags with their values; each must be
+    one the campaign declares (a failure's [args] always are), and [cuts]
+    may go only as deep as the campaign re-cuts (three for [Recovery], two
+    for [Batch] and [Migrate], one otherwise) — anything else raises
+    [Invalid_argument].  Non-empty [cuts] replay exactly one case (with
+    [--scenario] for [Replica], [--leg] for [Recovery], [--daemon-seed] for
+    [Daemons], [--media-seed] and [--faults] for [Media], or [--sched] for
+    [Engine], which also replays without cuts), so
+    [run ~fault:f.fault ~args:f.args ~cuts:f.cuts f.campaign] reproduces a
+    failure [f].  [level] (default {!Campaign.env_level}) sizes the sweep;
+    {!Campaign.Quick} also shrinks [Recovery] and [Daemons] to their
+    smoke sizes. *)

@@ -13,6 +13,7 @@ module Log_entry = Dudetm_log.Log_entry
 module Combine = Dudetm_log.Combine
 module Trace = Dudetm_trace.Trace
 module Check = Dudetm_check.Check
+module Campaign = Dudetm_check.Campaign
 module D = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
 module Sh = Dudetm_shard.Shard.Make (Dudetm_tm.Tinystm)
 
@@ -332,29 +333,13 @@ let test_pipeline_overlap_in_trace () =
 (* ---------------------- batch crash campaign --------------------------- *)
 
 let test_check_batch_clean () =
-  match Check.check_batch ~txs:4 () with
-  | Check.Batch_pass { runs; boundaries } ->
+  match Check.run ~args:[ ("--txs", "4") ] Campaign.Batch with
+  | Campaign.Pass { runs; boundaries; _ } ->
     check Alcotest.bool "swept a real boundary count" true (boundaries > 20);
     check Alcotest.bool "ran the sweep" true (runs > 20)
-  | Check.Batch_fail f ->
-    Alcotest.failf "clean engine failed the batch campaign: %s (replay: %s)"
-      f.Check.bt_reason (Check.batch_replay_line f)
-
-let test_check_batch_catches_skip_seal () =
-  match Check.check_batch ~fault:Config.Skip_batch_seal ~txs:4 () with
-  | Check.Batch_pass _ ->
-    Alcotest.fail "Skip_batch_seal mutant survived the batch campaign"
-  | Check.Batch_fail f ->
-    let line = Check.batch_replay_line f in
-    let has_substring hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-      go 0
-    in
-    check Alcotest.bool "replay line names the mutant" true
-      (has_substring line "--mutate skip-batch-seal");
-    check Alcotest.bool "replay line is a --batch invocation" true
-      (has_substring line "check --batch")
+  | Campaign.Fail f ->
+    Alcotest.failf "clean engine failed the batch campaign: %s (replay: %s)" f.reason
+      (Campaign.replay_line f)
 
 let test_skip_batch_seal_needs_combine () =
   match
@@ -377,8 +362,6 @@ let suite =
       test_pipeline_overlap_in_trace;
     Alcotest.test_case "batch: crash campaign passes the real engine" `Slow
       test_check_batch_clean;
-    Alcotest.test_case "batch: crash campaign catches Skip_batch_seal" `Quick
-      test_check_batch_catches_skip_seal;
     Alcotest.test_case "batch: Skip_batch_seal requires combine" `Quick
       test_skip_batch_seal_needs_combine;
   ]

@@ -1,8 +1,9 @@
 (* Tier-1 smoke for the systematic crash/schedule checker (lib/check), plus
    the mutation self-test: the checker must stay quiet on the real engine and
-   both baselines, and must catch both deliberately seeded ordering bugs. *)
+   both baselines, and every seeded mutant must be caught by its campaign. *)
 
 module Check = Dudetm_check.Check
+module Campaign = Dudetm_check.Campaign
 module Config = Dudetm_core.Config
 
 (* A small explicit budget so runtest stays fast; the env-sensitive
@@ -19,14 +20,14 @@ let smoke_budget : Check.budget =
 let expect_pass name sut =
   let wls = Check.workloads_for sut ~threads:3 ~txs:2 in
   match Check.check_system ~budget:smoke_budget sut wls with
-  | Check.Pass { runs; sites } ->
+  | Campaign.Pass { runs; boundaries; _ } ->
     Alcotest.(check bool)
       (Printf.sprintf "%s: explored some runs" name)
       true
-      (runs > 0 && sites > 0)
-  | Check.Fail f ->
-    Alcotest.failf "%s: checker found a violation: %s\n  replay: %s" name
-      f.Check.f_reason (Check.replay_line f)
+      (runs > 0 && boundaries > 0)
+  | Campaign.Fail f ->
+    Alcotest.failf "%s: checker found a violation: %s\n  replay: %s" name f.reason
+      (Campaign.replay_line f)
 
 let test_clean_dude () = expect_pass "dude" (Check.dude ())
 
@@ -38,62 +39,120 @@ let test_clean_mnemosyne () = expect_pass "mnemosyne" (Check.mnemosyne ())
 
 let test_clean_nvml () = expect_pass "nvml" (Check.nvml ())
 
-(* Mutation self-test: a checker that cannot catch a seeded ordering bug is
-   not checking anything.  Each fault must (1) produce a Fail, and (2) shrink
-   to a triple that deterministically fails again when replayed. *)
-let expect_caught name fault =
-  let sut = Check.dude ~fault () in
-  let wls = Check.workloads_for sut ~threads:3 ~txs:2 in
-  match Check.check_system ~budget:smoke_budget sut wls with
-  | Check.Pass _ -> Alcotest.failf "%s: seeded bug escaped the checker" name
-  | Check.Fail f ->
-    let line = Check.replay_line f in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: replay line names the mutant" name)
-      true
-      (String.length line > 0);
-    (* Re-run the shrunk triple: it must fail again, deterministically. *)
-    let wl =
-      Check.workload_of_name ~threads:f.Check.f_threads ~txs:f.Check.f_txs
-        f.Check.f_workload
-    in
-    (match Check.replay sut wl ~sched:f.Check.f_sched ~crash:f.Check.f_crash with
-    | Some _reason -> ()
-    | None ->
-      Alcotest.failf "%s: shrunk triple did not reproduce (%s)" name line);
-    (* And twice more: same triple, same verdict (determinism). *)
-    let r1 = Check.replay sut wl ~sched:f.Check.f_sched ~crash:f.Check.f_crash in
-    let r2 = Check.replay sut wl ~sched:f.Check.f_sched ~crash:f.Check.f_crash in
-    Alcotest.(check (option string)) (name ^ ": replay is deterministic") r1 r2
+(* -------------------------------------------------------------------- *)
+(* Mutant catch matrix                                                    *)
+(* -------------------------------------------------------------------- *)
 
-let test_mutant_early_durable () =
-  expect_caught "early-durable" Config.Early_durable_publish
+(* A checker that cannot catch a seeded bug is not checking anything.
+   Every mutant, the campaign that catches it, and the exact replay line of
+   its first (shrunk) failure under the bounded budget.  For each row the
+   campaign must fail with that line, re-running the failure's own
+   coordinates must fail again with the same reason, and the unmutated
+   engine must pass those same coordinates (no oracle false positive). *)
+let matrix =
+  let open Campaign in
+  let engine = [ ("--system", "dude") ] in
+  [
+    ( "early durable publish", Config.Early_durable_publish, Engine, engine,
+      "dudetm check --mutate early-durable --system dude --workload counter --threads 3 --txs \
+       1 --sched default" );
+    ( "unfenced reproduce", Config.Unfenced_reproduce, Engine, engine,
+      "dudetm check --mutate unfenced-reproduce --system dude --workload counter --threads 3 \
+       --txs 1 --sched seed:1" );
+    ( "skip crc verify", Config.Skip_crc_verify, Media, [],
+      "dudetm check --media --mutate skip-crc-verify --media-seed 1 --faults heap" );
+    ( "skip recovery journal", Config.Skip_recovery_journal, Recovery, [],
+      "dudetm check --recovery --mutate skip-recovery-journal --leg attach --crash2 7" );
+    ( "skip fragment gate", Config.Skip_fragment_gate, Shards, [],
+      "dudetm check --shards --mutate skip-fragment-gate --shard-count 3 --txs 10 --crash-at \
+       169" );
+    ( "skip batch seal", Config.Skip_batch_seal, Batch, [],
+      "dudetm check --batch --mutate skip-batch-seal --txs 12 --crash-at 1" );
+    ( "skip quorum gate", Config.Skip_quorum_gate, Replica, [],
+      "dudetm check --replica --mutate skip-quorum-gate --replicas 3 --txs 10 --scenario clean \
+       --crash-at 8" );
+    ( "skip handoff seal", Config.Skip_handoff_seal, Migrate, [],
+      "dudetm check --migrate --mutate skip-handoff-seal --crash-at 171" );
+    ( "skip snapshot validate", Config.Skip_snapshot_validate, Snapshot, [],
+      "dudetm check --snapshot --mutate skip-snapshot-validate --txs 12" );
+    ( "skip admission gate", Config.Skip_admission_gate, Serve, [],
+      "dudetm check --serve --mutate skip-admission-gate --txs 10 --crash-at 1" );
+  ]
 
-let test_mutant_unfenced_reproduce () =
-  expect_caught "unfenced-reproduce" Config.Unfenced_reproduce
+(* Each row's campaign runs once, whichever test needs its failure first. *)
+let caught =
+  List.map
+    (fun (label, fault, campaign, args, _) ->
+      ( label,
+        lazy
+          (match Check.run ~fault ~level:Campaign.Quick ~args campaign with
+          | Campaign.Fail f -> f
+          | Campaign.Pass _ ->
+            Alcotest.failf "%s: seeded bug escaped the %s campaign" label
+              (Campaign.name campaign)) ))
+    matrix
 
-(* The unmutated engine must pass the exact schedules/crash points that
-   expose the mutants — guards against oracle false positives. *)
+let rerun ?(fault = Config.No_fault) (f : Campaign.failure) =
+  Check.run ~fault ~level:Campaign.Quick ~args:f.args ~cuts:f.cuts f.campaign
+
+let test_mutant_caught (label, fault, campaign, _, line) () =
+  let f = Lazy.force (List.assoc label caught) in
+  Alcotest.(check string)
+    (label ^ ": campaign")
+    (Campaign.name campaign) (Campaign.name f.campaign);
+  Alcotest.(check string) (label ^ ": replay line") line (Campaign.replay_line f);
+  match rerun ~fault f with
+  | Campaign.Fail f' ->
+    Alcotest.(check string) (label ^ ": same reason on replay") f.reason f'.reason
+  | Campaign.Pass _ -> Alcotest.failf "%s: failure did not replay: %s" label line
+
 let test_mutant_sites_clean_on_real_engine () =
-  let sut = Check.dude () in
   List.iter
-    (fun fault ->
-      let mutant = Check.dude ~fault () in
-      let wls = Check.workloads_for mutant ~threads:3 ~txs:2 in
-      match Check.check_system ~budget:smoke_budget mutant wls with
-      | Check.Pass _ -> Alcotest.fail "seeded bug escaped the checker"
-      | Check.Fail f ->
-        let wl =
-          Check.workload_of_name ~threads:f.Check.f_threads
-            ~txs:f.Check.f_txs f.Check.f_workload
-        in
-        (match
-           Check.replay sut wl ~sched:f.Check.f_sched ~crash:f.Check.f_crash
-         with
-        | None -> ()
-        | Some reason ->
-          Alcotest.failf "real engine fails the mutant's triple: %s" reason))
-    [ Config.Early_durable_publish; Config.Unfenced_reproduce ]
+    (fun (label, f) ->
+      match rerun (Lazy.force f) with
+      | Campaign.Pass _ -> ()
+      | Campaign.Fail f' ->
+        Alcotest.failf "%s: real engine fails the mutant's coordinates: %s" label f'.reason)
+    caught
+
+(* One name table serves --mutate and the replay line: every fault has a
+   name that maps back to it. *)
+let test_mutant_names_roundtrip () =
+  let faults =
+    Config.
+      [
+        Early_durable_publish;
+        Unfenced_reproduce;
+        Skip_crc_verify;
+        Skip_recovery_journal;
+        Skip_fragment_gate;
+        Skip_batch_seal;
+        Skip_quorum_gate;
+        Skip_handoff_seal;
+        Skip_snapshot_validate;
+        Skip_admission_gate;
+      ]
+  in
+  Alcotest.(check int) "ten mutants" (List.length faults) (List.length Campaign.mutants);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Campaign.mutant_name f ^ " round-trips")
+        true
+        (List.assoc (Campaign.mutant_name f) Campaign.mutants = f))
+    faults
+
+(* A flag the campaign does not declare, or a cut deeper than it re-cuts,
+   is a usage error rather than silently ignored. *)
+let test_undeclared_flags_rejected () =
+  let rejects what args cuts campaign =
+    match Check.run ~args ~cuts campaign with
+    | _ -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "--leg with --shards" [ ("--leg", "scrub") ] [] Campaign.Shards;
+  rejects "--crash2 with --shards" [] [ 4; 4 ] Campaign.Shards;
+  rejects "--txs with --migrate" [ ("--txs", "5") ] [] Campaign.Migrate
 
 (* sched_spec round-trips through its textual form (the replay one-liner
    depends on this). *)
@@ -107,16 +166,20 @@ let test_sched_spec_roundtrip () =
         (Check.sched_to_string s'))
     [ Check.Default; Check.Seed 42; Check.Prefix [ 1; 0; 2 ]; Check.Prefix [] ]
 
-(* tier1_budget honours the DUDETM_CHECK_BUDGET multiplier. *)
+(* tier1_budget honours the DUDETM_CHECK_BUDGET multiplier; --quick
+   ignores it for every campaign. *)
 let test_budget_knob () =
   let base = Check.quick_budget in
   Unix.putenv "DUDETM_CHECK_BUDGET" "2";
   let scaled = Check.tier1_budget () in
+  let env = Campaign.env_level () in
   Unix.putenv "DUDETM_CHECK_BUDGET" "";
   Alcotest.(check int) "crash sites scaled" (base.Check.crash_sites * 2)
     scaled.Check.crash_sites;
   Alcotest.(check int) "exhaustive runs scaled"
     (base.Check.exhaustive_runs * 2) scaled.Check.exhaustive_runs;
+  Alcotest.(check int) "layer campaigns scaled" 2 (Campaign.scale env);
+  Alcotest.(check int) "quick ignores the knob" 1 (Campaign.scale Campaign.Quick);
   let plain = Check.tier1_budget () in
   Alcotest.(check int) "knob cleared" base.Check.crash_sites
     plain.Check.crash_sites
@@ -133,89 +196,29 @@ let test_replay_past_last_site () =
   | Some reason -> Alcotest.failf "quiescent run past last site failed: %s" reason
 
 (* -------------------------------------------------------------------- *)
-(* Media-fault campaign                                                   *)
+(* Clean engine under the layer campaigns                                 *)
 (* -------------------------------------------------------------------- *)
+
+let expect_campaign_pass ?args name campaign check =
+  match Check.run ?args campaign with
+  | Campaign.Pass { runs; boundaries; tallies } -> check ~runs ~boundaries ~tallies
+  | Campaign.Fail f ->
+    Alcotest.failf "clean engine failed the %s campaign: %s\n  %s" name f.reason
+      (Campaign.replay_line f)
 
 (* The clean engine under seeded corruption: every run either recovers
    fully or the loss is reported — never silently wrong data. *)
 let test_media_clean_engine () =
-  match Check.check_media ~seeds:2 () with
-  | Check.Media_pass { runs; injected } ->
-    Alcotest.(check bool) "campaign ran and injected faults" true
-      (runs > 0 && injected > 0)
-  | Check.Media_fail mf ->
-    Alcotest.failf "clean engine failed the media campaign: %s\n  %s"
-      mf.Check.mf_reason
-      (Check.media_replay_line mf)
-
-(* The seeded detection-bypass mutant (CRC verification skipped) must be
-   caught: corruption then reaches recovered state with nothing reported. *)
-let test_media_mutant_skip_crc () =
-  match Check.check_media ~fault:Config.Skip_crc_verify ~seeds:3 () with
-  | Check.Media_pass _ ->
-    Alcotest.fail "skip-crc-verify mutant escaped the media campaign"
-  | Check.Media_fail mf ->
-    (* The recorded failure replays deterministically. *)
-    (match
-       Check.check_media ~fault:Config.Skip_crc_verify ~mode:mf.Check.mf_mode
-         ~media_seed:mf.Check.mf_seed ?crash:mf.Check.mf_crash ()
-     with
-    | Check.Media_fail _ -> ()
-    | Check.Media_pass _ ->
-      Alcotest.failf "media failure did not replay: %s"
-        (Check.media_replay_line mf))
-
-(* -------------------------------------------------------------------- *)
-(* Sharded cross-commit campaign                                          *)
-(* -------------------------------------------------------------------- *)
+  expect_campaign_pass ~args:[ ("--media-seeds", "2") ] "media" Campaign.Media
+    (fun ~runs ~boundaries:_ ~tallies ->
+      Alcotest.(check bool) "campaign ran and injected faults" true
+        (runs > 0 && List.assoc "faults injected" tallies > 0))
 
 (* The real engine survives power cuts at every sampled persist boundary
    during cross-shard commits: no partial transfer, nothing acked lost. *)
 let test_shards_clean_engine () =
-  match Check.check_shards () with
-  | Check.Shard_pass { runs; boundaries } ->
-    Alcotest.(check bool) "campaign explored boundaries" true
-      (runs > 1 && boundaries > 0)
-  | Check.Shard_fail shf ->
-    Alcotest.failf "clean engine failed the shard campaign: %s\n  %s"
-      shf.Check.shf_reason
-      (Check.shard_replay_line shf)
-
-(* With the fragment gate skipped, Reproduce replays a cross-shard fragment
-   before its sibling is durable — some power cut must expose a partial
-   transfer.  The recorded boundary replays deterministically, and its
-   one-liner carries the mutant flag. *)
-let test_shards_mutant_skip_fragment_gate () =
-  match Check.check_shards ~fault:Config.Skip_fragment_gate () with
-  | Check.Shard_pass _ ->
-    Alcotest.fail "skip-fragment-gate mutant escaped the shard campaign"
-  | Check.Shard_fail shf ->
-    let line = Check.shard_replay_line shf in
-    let contains s sub =
-      let n = String.length sub in
-      let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-      go 0
-    in
-    Alcotest.(check bool)
-      "replay line names the mutant" true
-      (contains line "--mutate skip-fragment-gate");
-    (match shf.Check.shf_crash with
-    | None -> Alcotest.fail "mutant should fail at a crash boundary, not the clean run"
-    | Some k ->
-      (match
-         Check.check_shards ~fault:Config.Skip_fragment_gate ~nshards:shf.Check.shf_nshards
-           ~txs:shf.Check.shf_txs ~only_crash:k ()
-       with
-      | Check.Shard_fail _ -> ()
-      | Check.Shard_pass _ -> Alcotest.failf "shard failure did not replay: %s" line));
-    (* The real engine passes the exact boundary that exposes the mutant. *)
-    (match
-       Check.check_shards ~nshards:shf.Check.shf_nshards ~txs:shf.Check.shf_txs
-         ?only_crash:shf.Check.shf_crash ()
-     with
-    | Check.Shard_pass _ -> ()
-    | Check.Shard_fail f ->
-      Alcotest.failf "real engine fails the mutant's boundary: %s" f.Check.shf_reason)
+  expect_campaign_pass "shards" Campaign.Shards (fun ~runs ~boundaries ~tallies:_ ->
+      Alcotest.(check bool) "campaign explored boundaries" true (runs > 1 && boundaries > 0))
 
 let suite =
   [
@@ -224,22 +227,23 @@ let suite =
     Alcotest.test_case "clean: dude-htm" `Quick test_clean_htm;
     Alcotest.test_case "clean: mnemosyne" `Quick test_clean_mnemosyne;
     Alcotest.test_case "clean: nvml" `Quick test_clean_nvml;
-    Alcotest.test_case "mutant caught: early durable publish" `Quick
-      test_mutant_early_durable;
-    Alcotest.test_case "mutant caught: unfenced reproduce" `Quick
-      test_mutant_unfenced_reproduce;
-    Alcotest.test_case "mutant triples pass on real engine" `Quick
-      test_mutant_sites_clean_on_real_engine;
-    Alcotest.test_case "sched spec round-trip" `Quick test_sched_spec_roundtrip;
-    Alcotest.test_case "budget env knob" `Quick test_budget_knob;
-    Alcotest.test_case "replay past last site is quiescent" `Quick
-      test_replay_past_last_site;
-    Alcotest.test_case "media campaign: clean engine never silently wrong"
-      `Quick test_media_clean_engine;
-    Alcotest.test_case "media campaign: skip-crc-verify mutant caught" `Quick
-      test_media_mutant_skip_crc;
-    Alcotest.test_case "shard campaign: clean engine all-or-nothing" `Slow
-      test_shards_clean_engine;
-    Alcotest.test_case "shard campaign: skip-fragment-gate mutant caught" `Slow
-      test_shards_mutant_skip_fragment_gate;
   ]
+  @ List.map
+      (fun ((label, _, _, _, _) as row) ->
+        Alcotest.test_case ("mutant caught: " ^ label) `Quick (test_mutant_caught row))
+      matrix
+  @ [
+      Alcotest.test_case "mutant triples pass on real engine" `Quick
+        test_mutant_sites_clean_on_real_engine;
+      Alcotest.test_case "mutant names round-trip" `Quick test_mutant_names_roundtrip;
+      Alcotest.test_case "undeclared campaign flags rejected" `Quick
+        test_undeclared_flags_rejected;
+      Alcotest.test_case "sched spec round-trip" `Quick test_sched_spec_roundtrip;
+      Alcotest.test_case "budget env knob" `Quick test_budget_knob;
+      Alcotest.test_case "replay past last site is quiescent" `Quick
+        test_replay_past_last_site;
+      Alcotest.test_case "media campaign: clean engine never silently wrong" `Quick
+        test_media_clean_engine;
+      Alcotest.test_case "shard campaign: clean engine all-or-nothing" `Slow
+        test_shards_clean_engine;
+    ]

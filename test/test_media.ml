@@ -5,6 +5,7 @@ module Sched = Dudetm_sim.Sched
 module Nvm = Dudetm_nvm.Nvm
 module Config = Dudetm_core.Config
 module Check = Dudetm_check.Check
+module Campaign = Dudetm_check.Campaign
 module D = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
 
 let contains haystack needle =
@@ -50,10 +51,9 @@ let test_evict_full_campaign () =
   let sut = Check.dude () in
   let wls = Check.workloads_for sut ~threads:3 ~txs:2 in
   match Check.check_system ~budget ~evict:(0.5, 7) sut wls with
-  | Check.Pass { runs; _ } -> Alcotest.(check bool) "ran" true (runs > 0)
-  | Check.Fail f ->
-    Alcotest.failf "evict campaign failed: %s\n  %s" f.Check.f_reason
-      (Check.replay_line f)
+  | Campaign.Pass { runs; _ } -> Alcotest.(check bool) "ran" true (runs > 0)
+  | Campaign.Fail f ->
+    Alcotest.failf "evict campaign failed: %s\n  %s" f.reason (Campaign.replay_line f)
 
 let test_evict_failure_carries_survivors () =
   (* A mutant that the eviction adversary catches must report the evict
@@ -72,15 +72,16 @@ let test_evict_failure_carries_survivors () =
   let sut = Check.dude ~fault:Config.Early_durable_publish () in
   let wls = Check.workloads_for sut ~threads:3 ~txs:2 in
   match Check.check_system ~budget ~evict:(0.5, 3) sut wls with
-  | Check.Pass _ -> Alcotest.fail "early-durable mutant escaped the eviction sweep"
-  | Check.Fail f ->
-    (match f.Check.f_evict with
-    | Some (fr, seed) ->
-      Alcotest.(check (float 0.0)) "fraction recorded" 0.5 fr;
-      Alcotest.(check int) "seed recorded" 3 seed
-    | None -> Alcotest.fail "failure record lost the evict knob");
+  | Campaign.Pass _ -> Alcotest.fail "early-durable mutant escaped the eviction sweep"
+  | Campaign.Fail f ->
+    Alcotest.(check (option string)) "fraction recorded" (Some "0.5")
+      (List.assoc_opt "--evict" f.args);
+    Alcotest.(check (option string)) "seed recorded" (Some "3")
+      (List.assoc_opt "--evict-seed" f.args);
+    Alcotest.(check bool) "reason lists the surviving lines" true
+      (contains f.reason "surviving lines:");
     Alcotest.(check bool) "replay line names the adversary" true
-      (contains (Check.replay_line f) "--evict 0.5")
+      (contains (Campaign.replay_line f) "--evict 0.5")
 
 (* S1: the drain watchdog.  With a cycle budget far below the pipeline's
    persist latency, committed-but-unretired work must surface as a

@@ -9,6 +9,7 @@ module Config = Dudetm_core.Config
 module Rjournal = Dudetm_core.Rjournal
 module Checkpoint = Dudetm_core.Checkpoint
 module Check = Dudetm_check.Check
+module Campaign = Dudetm_check.Campaign
 module Scrub = Dudetm_scrub.Scrub
 module D = Dudetm_core.Dudetm.Make (Dudetm_tm.Tinystm)
 
@@ -193,38 +194,25 @@ let test_double_scrub_idempotent () =
 (* ------------------------------------------------------------------ *)
 
 let test_recovery_campaign_smoke () =
-  match Check.check_recovery ~budget:Check.smoke_recovery_budget () with
-  | Check.Recovery_pass { runs; boundaries } ->
+  match Check.run ~level:Campaign.Quick Campaign.Recovery with
+  | Campaign.Pass { runs; boundaries; _ } ->
     Alcotest.(check bool) "explored runs" true (runs > 10);
     Alcotest.(check bool) "counted boundaries" true (boundaries > 0)
-  | Check.Recovery_fail rcf ->
-    Alcotest.failf "nested-crash campaign failed: %s\n  %s" rcf.Check.rcf_reason
-      (Check.recovery_replay_line rcf)
-
-let test_recovery_campaign_catches_mutant () =
-  match
-    Check.check_recovery ~fault:Config.Skip_recovery_journal
-      ~budget:Check.smoke_recovery_budget ()
-  with
-  | Check.Recovery_pass _ ->
-    Alcotest.fail "skip-recovery-journal mutant escaped the nested-crash campaign"
-  | Check.Recovery_fail rcf ->
-    Alcotest.(check bool) "replay line names the mutant" true
-      (contains (Check.recovery_replay_line rcf) "--mutate skip-recovery-journal")
+  | Campaign.Fail f ->
+    Alcotest.failf "nested-crash campaign failed: %s\n  %s" f.reason (Campaign.replay_line f)
 
 (* ------------------------------------------------------------------ *)
 (* Supervised daemons                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_daemon_fault_sweep () =
-  match Check.check_daemons ~seeds:2 () with
-  | Check.Daemon_pass { runs; faults; restarts } ->
+  match Check.run ~level:Campaign.Quick Campaign.Daemons with
+  | Campaign.Pass { runs; tallies; _ } ->
     Alcotest.(check bool) "ran" true (runs > 0);
-    Alcotest.(check bool) "faults injected" true (faults > 0);
-    Alcotest.(check bool) "daemons restarted" true (restarts > 0)
-  | Check.Daemon_fail df ->
-    Alcotest.failf "daemon fault sweep failed: %s\n  %s" df.Check.df_reason
-      (Check.daemon_replay_line df)
+    Alcotest.(check bool) "faults injected" true (List.assoc "faults injected" tallies > 0);
+    Alcotest.(check bool) "daemons restarted" true (List.assoc "restarts" tallies > 0)
+  | Campaign.Fail f ->
+    Alcotest.failf "daemon fault sweep failed: %s\n  %s" f.reason (Campaign.replay_line f)
 
 let test_daemon_restarts_counted () =
   let cfg = { small_cfg with Config.daemon_fault_rate = 0.3 } in
@@ -356,8 +344,6 @@ let suite =
     Alcotest.test_case "double attach idempotent" `Quick test_double_attach_idempotent;
     Alcotest.test_case "double scrub idempotent" `Quick test_double_scrub_idempotent;
     Alcotest.test_case "nested-crash campaign passes" `Quick test_recovery_campaign_smoke;
-    Alcotest.test_case "campaign catches skip-journal mutant" `Quick
-      test_recovery_campaign_catches_mutant;
     Alcotest.test_case "daemon fault sweep" `Quick test_daemon_fault_sweep;
     Alcotest.test_case "daemon restarts counted, no work lost" `Quick
       test_daemon_restarts_counted;

@@ -16,6 +16,7 @@ module Config = Dudetm_core.Config
 module Wire = Dudetm_log.Wire
 module Trace = Dudetm_trace.Trace
 module Check = Dudetm_check.Check
+module Campaign = Dudetm_check.Campaign
 module Link = Dudetm_replica.Link
 module Rep = Dudetm_replica.Replica.Make (Dudetm_tm.Tinystm)
 module E = Rep.Engine
@@ -533,29 +534,11 @@ let test_link_transfer_zero_alloc_when_disabled () =
 (* ----------------------------- campaign ---------------------------------- *)
 
 let test_campaign_clean () =
-  match Check.check_replica ~txs:6 () with
-  | Check.Replica_pass { runs; boundaries } ->
+  match Check.run ~args:[ ("--txs", "6") ] Campaign.Replica with
+  | Campaign.Pass { runs; boundaries; _ } ->
     check Alcotest.bool "swept multiple runs" true (runs > 10 && boundaries > 0)
-  | Check.Replica_fail rf ->
-    Alcotest.failf "campaign failed: %s (replay: %s)" rf.Check.rf_reason
-      (Check.replica_replay_line rf)
-
-let test_campaign_catches_skip_quorum_gate () =
-  match Check.check_replica ~fault:Config.Skip_quorum_gate ~txs:6 () with
-  | Check.Replica_pass _ ->
-    Alcotest.fail "campaign missed the Skip_quorum_gate mutant"
-  | Check.Replica_fail rf ->
-    check Alcotest.bool "failure is attributed to a primary kill" true
-      (rf.Check.rf_crash <> None);
-    let line = Check.replica_replay_line rf in
-    let has needle =
-      let n = String.length needle and l = String.length line in
-      let rec go i = i + n <= l && (String.sub line i n = needle || go (i + 1)) in
-      go 0
-    in
-    check Alcotest.bool "replay line pins the mutant" true
-      (has "--mutate skip-quorum-gate");
-    check Alcotest.bool "replay line pins the crash site" true (has "--crash-at")
+  | Campaign.Fail f ->
+    Alcotest.failf "campaign failed: %s (replay: %s)" f.reason (Campaign.replay_line f)
 
 let suite =
   [
@@ -583,6 +566,4 @@ let suite =
     Alcotest.test_case "replica: disabled link_transfer allocates nothing" `Quick
       test_link_transfer_zero_alloc_when_disabled;
     Alcotest.test_case "replica: failover campaign passes" `Slow test_campaign_clean;
-    Alcotest.test_case "replica: campaign catches Skip_quorum_gate" `Quick
-      test_campaign_catches_skip_quorum_gate;
   ]
