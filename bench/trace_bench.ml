@@ -97,8 +97,11 @@ let run ?scale:(_ = 1.0) () =
      change and trips the 25% threshold — deterministic, not flaky. *)
   match load_baseline (baseline_path ()) with
   | None ->
-    Printf.printf "trace baseline %s not found; skipping regression check\n"
-      (baseline_path ())
+    Printf.printf
+      "TRACE BASELINE MISSING: %s not found (run from the repo root or set \
+       DUDETM_TRACE_BASELINE)\n"
+      (baseline_path ());
+    exit 1
   | Some base ->
     let failures = ref 0 in
     List.iter

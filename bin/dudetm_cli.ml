@@ -780,9 +780,9 @@ let layout_cmd =
     Printf.printf "  meta block:      %d KiB at 0x%x\n" (cfg.Config.meta_size lsr 10)
       (Config.meta_base cfg);
     Printf.printf "  crc directory:   %d KiB at 0x%x (%d-byte extents)\n"
-      (Config.crcdir_size cfg lsr 10) (Config.crcdir_base cfg) cfg.Config.crc_extent;
+      (Config.crcdir_size cfg lsr 10) (Config.crcdir_base cfg) Config.crc_extent;
     Printf.printf "  bad-line table:  %d B at 0x%x (%d entries)\n"
-      (Config.badline_size cfg) (Config.badline_base cfg) cfg.Config.badline_capacity;
+      (Config.badline_size cfg) (Config.badline_base cfg) Config.badline_capacity;
     Printf.printf "  log rings:       %d x %d KiB starting at 0x%x\n"
       (Config.plog_regions cfg) (cfg.Config.plog_size lsr 10) (Config.plog_base cfg 0);
     Printf.printf "  device size:     %d MiB\n" (Config.nvm_size cfg lsr 20);

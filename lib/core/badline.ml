@@ -30,7 +30,7 @@ let persist_table t =
 
 let format nvm cfg =
   let t =
-    { nvm; base = Config.badline_base cfg; capacity = cfg.Config.badline_capacity; lines = [] }
+    { nvm; base = Config.badline_base cfg; capacity = Config.badline_capacity; lines = [] }
   in
   persist_table t;
   t
@@ -39,7 +39,7 @@ let format nvm cfg =
    costs future re-detection of the stuck lines, never data. *)
 let attach nvm cfg =
   let base = Config.badline_base cfg in
-  let capacity = cfg.Config.badline_capacity in
+  let capacity = Config.badline_capacity in
   let sz = image_size capacity in
   match Nvm.persisted_bytes nvm base sz with
   | exception Nvm.Media_error _ -> (format nvm cfg, false)

@@ -40,13 +40,6 @@ type t = {
   batch_deadline : int;
   reproduce_batch : int;
   checkpoint_records : int;
-  tm_costs : Dudetm_tm.Tm_intf.costs;
-  log_append_cost : int;
-  flush_cost_per_entry : int;
-  compress_cost_per_byte : float;
-  reproduce_cost_per_entry : int;
-  crc_extent : int;
-  badline_capacity : int;
   drain_budget : int;
   daemon_fault_rate : float;
   daemon_backoff_base : int;
@@ -80,13 +73,6 @@ let default =
     batch_deadline = 4000;
     reproduce_batch = 64;
     checkpoint_records = 8;
-    tm_costs = Dudetm_tm.Tm_intf.default_costs;
-    log_append_cost = 80;
-    flush_cost_per_entry = 6;
-    compress_cost_per_byte = 2.0;
-    reproduce_cost_per_entry = 24;
-    crc_extent = 512;
-    badline_capacity = 64;
     drain_budget = 200_000_000;
     daemon_fault_rate = 0.0;
     daemon_backoff_base = 200;
@@ -98,6 +84,10 @@ let default =
     seed = 42;
     fault = No_fault;
   }
+
+let crc_extent = 512
+
+let badline_capacity = 64
 
 let with_mode mode t = { t with mode }
 
@@ -115,11 +105,11 @@ let line_align t n =
 
 let crcdir_base t = t.heap_size + t.meta_size
 
-let crcdir_size t = line_align t (t.heap_size / t.crc_extent * 8)
+let crcdir_size t = line_align t (t.heap_size / crc_extent * 8)
 
 let badline_base t = crcdir_base t + crcdir_size t
 
-let badline_size t = line_align t ((3 + t.badline_capacity) * 8)
+let badline_size t = line_align t ((3 + badline_capacity) * 8)
 
 let rjournal_base t = badline_base t + badline_size t
 
@@ -170,10 +160,9 @@ let validate t =
   if t.reproduce_batch < 1 then fail "reproduce_batch < 1";
   if t.checkpoint_records < 1 then fail "checkpoint_records < 1";
   let line = t.pmem.Dudetm_nvm.Pmem_config.line_size in
-  if t.crc_extent < line || t.crc_extent mod line <> 0 then
+  if crc_extent < line || crc_extent mod line <> 0 then
     fail "crc_extent must be a positive multiple of the NVM line size";
-  if t.heap_size mod t.crc_extent <> 0 then fail "crc_extent must divide heap_size";
-  if t.badline_capacity < 1 then fail "badline_capacity < 1";
+  if t.heap_size mod crc_extent <> 0 then fail "crc_extent must divide heap_size";
   if t.drain_budget < 1 then fail "drain_budget < 1";
   fraction "daemon_fault_rate" t.daemon_fault_rate;
   fraction "bp_hwm_fraction" t.bp_hwm_fraction;

@@ -51,11 +51,12 @@ type fault =
           recovery report.  Validates the nested-crash campaign
           ([dudetm check --recovery]). *)
   | Skip_fragment_gate
-      (** Reproduce ignores the cross-shard replay gate and applies a
-          cross-shard fragment before its sibling fragments are durable on
-          their shards: a crash in the window can leave a partial
-          cross-shard transaction surviving recovery.  Validates the
-          sharded crash campaign ([dudetm check --shards]). *)
+      (** The sharding layer ([lib/shard], which owns the cross-shard
+          replay gate) installs no gate on its engines, so Reproduce
+          applies a cross-shard fragment before its sibling fragments are
+          durable on their shards: a crash in the window can leave a
+          partial cross-shard transaction surviving recovery.  Validates
+          the sharded crash campaign ([dudetm check --shards]). *)
   | Skip_batch_seal
       (** The pipelined Persist stage publishes a batch's durable IDs when
           the batch is {e sealed} (combined, CRC'd and queued for flushing)
@@ -124,15 +125,6 @@ type t = {
           durability by more than this *)
   reproduce_batch : int;  (** transactions applied per reproduce round *)
   checkpoint_records : int;  (** checkpoint + recycle every N completed log records *)
-  tm_costs : Dudetm_tm.Tm_intf.costs;
-  log_append_cost : int;  (** cycles per [dtmWrite] log append *)
-  flush_cost_per_entry : int;  (** persist-thread CPU work per entry *)
-  compress_cost_per_byte : float;
-  reproduce_cost_per_entry : int;
-  crc_extent : int;
-      (** bytes of heap covered per CRC-directory entry; must be a multiple
-          of the NVM line size and divide [heap_size] *)
-  badline_capacity : int;  (** max remappable stuck lines *)
   drain_budget : int;
       (** simulated cycles {!Dudetm.drain} may consume before raising
           [Drain_stalled] with a daemon-state diagnostic *)
@@ -168,6 +160,14 @@ val default : t
 (** 4-thread, 16 MiB heap, async mode, 1 GB/s / 1000-cycle NVM, no
     paging, no combination — the paper's base configuration scaled to
     simulator-friendly sizes. *)
+
+val crc_extent : int
+(** Bytes of heap covered per CRC-directory entry (512); {!validate}
+    rejects a heap it does not divide or an NVM line size it is not a
+    multiple of. *)
+
+val badline_capacity : int
+(** Stuck lines the persistent bad-line table can remap (64). *)
 
 val with_mode : mode -> t -> t
 

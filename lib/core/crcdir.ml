@@ -50,7 +50,7 @@ let verify_extent t i =
     | stored -> if crc = stored then `Ok else `Mismatch)
 
 let attach nvm cfg =
-  let extent = cfg.Config.crc_extent in
+  let extent = Config.crc_extent in
   {
     nvm;
     base = Config.crcdir_base cfg;

@@ -33,6 +33,17 @@ type recovery_report = {
 
 let pmalloc_cost = 120
 
+(* Simulated CPU costs, in cycles: a [dtmWrite] log append, the Persist
+   daemon's work per flushed entry and per compressed byte, and
+   Reproduce's work per applied entry. *)
+let log_append_cost = 80
+
+let flush_cost_per_entry = 6
+
+let compress_cost_per_byte = 2.0
+
+let reproduce_cost_per_entry = 24
+
 (* One sealed log record as handed to the replication layer: the PR 6
    group-commit batch, reused verbatim as the wire unit.  [seq] is the
    record's ring sequence number (the replication stream's dedup key),
@@ -48,26 +59,16 @@ type shipment = {
 module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   type view = Flat of Mem.t | Paged of Shadow.t
 
-  (* A unit of Reproduce work: one whole combined record, or one
-     transaction of a plain record.  [lo..hi] is its contiguous global
-     transaction-ID range (lo = hi for plain items). *)
-  type item = {
-    lo : int;
-    hi : int;
-    entries : Log_entry.t list;
-    region : int;
-    end_off : int;
-    rec_next_seq : int;
-    last_of_record : bool;
-  }
+  (* A queued unit of Reproduce work ({!Redo.item}).  The last item of a
+     record carries the ring position recycling may advance to once it is
+     applied: (region, end_off, next_seq). *)
+  type queued = { item : Redo.item; recycle : (int * int * int) option }
 
   (* A sealed-but-unflushed batch in the pipelined (combined) persist
      path: the combiner has merged, combined and encoded it; the flusher
      still has to write it to NVM.  Lives in [t] so a combiner restart
      never re-seals (or drops) a batch already handed to the flusher. *)
   type prepared_batch = {
-    pb_lo : int;
-    pb_hi : int;
     pb_entries : Log_entry.t list;  (* combined, end marks included *)
     pb_payload : bytes;
   }
@@ -81,7 +82,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     vlogs : Vlog.t array;
     plogs : Plog.t array;
     ckpt : Checkpoint.t;
-    rjournal : Rjournal.t;
     crcdir : Crcdir.t;
     badlines : Badline.t;
     dirty_extents : (int, unit) Hashtbl.t;  (* heap extents Reproduce touched since last checkpoint *)
@@ -92,13 +92,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     flushed_set : (int, unit) Hashtbl.t;
     mutable persisted_data : int;  (* data persisted for all tids <= this *)
     mutable checkpointed : int;
-    queues : item Queue.t array;  (* per region, lo ascending *)
+    queues : queued Queue.t array;  (* per region, lo ascending *)
     mutable pending_recycle : (int * int * int) list;  (* region, end_off, next_seq *)
     (* Daemon working state lives in [t], not in daemon-local closures, so
        a supervisor restart resumes exactly where the failed daemon left
        off: staged-but-unflushed combined transactions, the next group ID,
        and reproduced-but-unpersisted dirty ranges all survive. *)
-    staging : (int, Log_entry.t list) Hashtbl.t;  (* combined persist: tid -> body *)
+    staging : (int, Log_entry.t list) Hashtbl.t;  (* combined persist: tid -> entries *)
     mutable next_flush : int;  (* combined persist: next group's first tid *)
     prepared : prepared_batch Queue.t;  (* sealed batches awaiting NVM flush *)
     mutable combiner_done : bool;  (* combiner exited; flusher may too *)
@@ -110,26 +110,23 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     mutable durable_waiters : int;  (* threads blocked in [wait_durable] *)
     mutable drain_pace : float;  (* measured NVM drain cost, cycles/entry *)
     repro_ranges : (int * int) list ref;  (* applied but not yet persisted *)
-    (* Cross-shard replay gate, installed by the sharding layer: Reproduce
-       may apply transaction [tid] only once the gate admits it (all
-       sibling fragments of every cross-shard transaction at or below it
-       are durable on their own shards).  [None]: single-region instance,
-       no gating. *)
-    mutable cross_gate : (int -> bool) option;
-    mutable cross_frontier : int;  (* max replayed cross-shard gtid *)
+    cross_frontier : int ref;  (* max replayed cross-shard gtid *)
     (* Durable-only snapshot watermark, installed by layers that gate
        durability beyond the local device (shard effective IDs, replication
        quorum).  Thunk returns an engine-space tid; [None]: the local
        durable ID.  Must be a pure read — snapshot readers poll it. *)
     mutable ro_watermark : (unit -> int) option;
-    (* Replication taps, installed by lib/replica.  [ship_hook] fires on
-       the Persist daemon right after a log record's NVM persist completes
-       (the batch is sealed locally); [replay_gate] stops a follower's
-       Reproduce from applying a transaction the cluster has not
-       quorum-acked yet, so promotion can still truncate to the quorum
-       prefix (replayed state cannot be un-replayed). *)
+    (* Replication tap, installed by lib/replica: fires on the Persist
+       daemon right after a log record's NVM persist completes (the batch
+       is sealed locally). *)
     mutable ship_hook : (shipment -> unit) option;
-    mutable replay_gate : (int -> bool) option;
+    (* The one replay gate, installed by the layer that owns it: Reproduce
+       applies the next item only once the gate admits it.  The sharding
+       layer holds back a cross-shard fragment until every sibling is
+       durable; the replication layer holds a follower at the cluster's
+       quorum-acked watermark (replayed state cannot be un-replayed).
+       [None]: no gating. *)
+    mutable replay_gate : (Redo.item -> bool) option;
     fault_rng : Rng.t;  (* injected transient daemon failures *)
     (* Front-end context supplement, installed by layers above the engine
        (the serving front end): folded into the [Drain_stalled] diagnostic
@@ -179,10 +176,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       let scfg = Shadow.default_config cfg.Config.shadow_mode ~frames in
       Paged (Shadow.create scfg ~nvm ~applied_id:(fun () -> !applied_cell))
 
-  let build cfg nvm ~tid_base ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocator ~repro_alloc =
+  let build cfg nvm ~tid_base ~plogs ~ckpt ~crcdir ~badlines ~allocator ~repro_alloc =
     let applied_cell = ref tid_base in
     let view = make_view cfg nvm applied_cell in
-    let tm = Tm.create ~costs:cfg.Config.tm_costs ~seed:cfg.Config.seed (store_of_view view) in
+    let tm = Tm.create ~costs:Tm_intf.default_costs ~seed:cfg.Config.seed (store_of_view view) in
     {
       cfg;
       nvm;
@@ -196,7 +193,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
               ~capacity:cfg.Config.vlog_capacity ());
       plogs;
       ckpt;
-      rjournal;
       crcdir;
       badlines;
       dirty_extents = Hashtbl.create 256;
@@ -221,8 +217,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       durable_waiters = 0;
       drain_pace = 0.0;
       repro_ranges = ref [];
-      cross_gate = None;
-      cross_frontier = 0;
+      cross_frontier = ref 0;
       ro_watermark = None;
       ship_hook = None;
       replay_gate = None;
@@ -254,8 +249,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     in
     let crcdir = Crcdir.format nvm cfg in
     let badlines = Badline.format nvm cfg in
-    let rjournal = Rjournal.format nvm ~base:(Config.rjournal_base cfg) in
-    build cfg nvm ~tid_base:0 ~plogs ~ckpt ~rjournal ~crcdir ~badlines ~allocator ~repro_alloc
+    ignore (Rjournal.format nvm ~base:(Config.rjournal_base cfg));
+    build cfg nvm ~tid_base:0 ~plogs ~ckpt ~crcdir ~badlines ~allocator ~repro_alloc
 
   (* Carve every recorded bad line out of the {e serving} allocator so
      pmalloc never hands out media known to drop writes.  Only the serving
@@ -324,8 +319,15 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* Durable-ID bookkeeping                                              *)
   (* ------------------------------------------------------------------ *)
 
-  let note_flushed t tids =
-    List.iter (fun tid -> Hashtbl.replace t.flushed_set tid ()) tids;
+  (* Tids already at or below the durable ID are ignored, so publishing a
+     record twice is harmless. *)
+  let note_flushed t (items : Redo.item list) =
+    List.iter
+      (fun (it : Redo.item) ->
+        for tid = max it.lo (t.durable + 1) to it.hi do
+          Hashtbl.replace t.flushed_set tid ()
+        done)
+      items;
     while Hashtbl.mem t.flushed_set (t.durable + 1) do
       Hashtbl.remove t.flushed_set (t.durable + 1);
       t.durable <- t.durable + 1
@@ -348,9 +350,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         (fun () -> Sched.wait_until ~label:"durable id" (fun () -> t.durable >= tid))
     end
 
-  let set_cross_gate t gate = t.cross_gate <- gate
-
-  let cross_frontier t = t.cross_frontier
+  let cross_frontier t = !(t.cross_frontier)
 
   let set_ro_watermark t wm = t.ro_watermark <- wm
 
@@ -366,96 +366,60 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let set_replay_gate t gate = t.replay_gate <- gate
 
-  let ship t ~seq ~lo ~hi ~payload =
-    match t.ship_hook with
-    | None -> ()
-    | Some f -> f { ship_seq = seq; ship_lo = lo; ship_hi = hi; ship_payload = payload }
-
-  (* The next queued replay item, if its turn has come (pure: no pop). *)
-  let peek_next_item t =
+  (* The queue whose head is the next replay item, if its turn has come
+     (pure: no pop). *)
+  let next_queue t =
     let target = applied t + 1 in
-    let found = ref None in
-    Array.iter
-      (fun q ->
-        match Queue.peek_opt q with
-        | Some it when it.lo = target -> found := Some it
-        | _ -> ())
-      t.queues;
-    !found
+    Array.find_opt
+      (fun q -> match Queue.peek_opt q with Some qd -> qd.item.lo = target | None -> false)
+      t.queues
 
-  (* Highest cross-shard global ID sealed into an item's entries (0 when
-     the item carries no fragment).  Gating on the max is enough: fragment
-     admissibility is monotone in the global ID. *)
-  let item_gate_gtid it =
-    List.fold_left
-      (fun acc e -> match e with Log_entry.Cross { gtid; _ } -> max acc gtid | _ -> acc)
-      0 it.entries
-
-  (* May Reproduce apply the next transaction?  The gate predicate is pure
-     (it only reads sibling shards' durable counters), so it is safe inside
-     [Sched.wait_until] conditions.  The gate keys on the global ID read
-     from the pending item's own [Cross] seal — the log record is the
-     source of truth, so a fragment can never slip past the gate before the
-     sharding layer has registered its sibling set. *)
+  (* May Reproduce apply the next item?  The installed gate is pure (it
+     reads sibling shards' durable counters or a quorum watermark cell), so
+     this is safe inside [Sched.wait_until] conditions.  The gate sees the
+     pending item itself — the log record is the source of truth, so a
+     cross-shard fragment can never slip past the gate before the sharding
+     layer has registered its sibling set.
+     Under the Skip_batch_seal mutant the durable ID runs ahead of the
+     flushed records, so the "durable implies queued" invariant that
+     [pop_next] asserts does not hold; wait for the item instead of
+     crashing the daemon — the campaign must catch the mutant as a
+     durability violation at a power cut, not as an engine exception. *)
   let can_apply t =
     t.durable > applied t
-    (* Under the Skip_batch_seal mutant the durable ID runs ahead of the
-       flushed records, so the "durable implies queued" invariant that
-       [pop_next_item] asserts does not hold; wait for the item instead of
-       crashing the daemon — the campaign must catch the mutant as a
-       durability violation at a power cut, not as an engine exception. *)
-    && (t.cfg.Config.fault <> Config.Skip_batch_seal || peek_next_item t <> None)
-    && (match t.cross_gate with
-       | Some gate when t.cfg.Config.fault <> Config.Skip_fragment_gate -> (
-         match peek_next_item t with
-         | Some it ->
-           let g = item_gate_gtid it in
-           g = 0 || gate g
-         | None -> true)
-       | _ -> true)
-    (* Follower-side quorum replay gate: never apply past what the cluster
-       has acknowledged, so the promotion-time durable cut stays above the
-       checkpoint floor.  Pure (reads a watermark cell owned by the
-       replication layer), so it is safe inside [Sched.wait_until]. *)
-    && (match t.replay_gate with
-       | Some gate -> (
-         match peek_next_item t with Some it -> gate it.hi | None -> true)
-       | None -> true)
+    &&
+    match next_queue t with
+    | None -> t.cfg.Config.fault <> Config.Skip_batch_seal
+    | Some q -> (
+      match t.replay_gate with Some gate -> gate (Queue.peek q).item | None -> true)
 
   (* ------------------------------------------------------------------ *)
   (* Persist step                                                        *)
   (* ------------------------------------------------------------------ *)
 
-  (* Split a committed entry run into (tid, entries-including-end-mark)
-     groups. *)
-  let split_txs entries =
-    let rec go cur acc = function
-      | [] ->
-        assert (cur = []);
-        List.rev acc
-      | (Log_entry.Tx_end { tid } as e) :: rest ->
-        go [] ((tid, List.rev (e :: cur)) :: acc) rest
-      | e :: rest -> go (e :: cur) acc rest
-    in
-    go [] [] entries
-
-  let queue_items t region entries (record : Plog.record) =
-    let groups = split_txs entries in
-    let n = List.length groups in
+  (* The one publish path for a sealed record, shared by the plain and the
+     combined Persist flushers and by follower ingest, once the record is
+     in its ring: count it, queue its replay items for Reproduce, advance
+     the durable ID and ship it to replicas.  Under the Skip_batch_seal
+     mutant the combiner already advanced the durable ID at seal time, so
+     the flusher's publish adds nothing to it. *)
+  let publish t ~region items ~payload (record : Plog.record) =
+    Stats.incr t.stats "flush_records";
+    Stats.add t.stats "flush_payload_bytes" (Bytes.length payload);
+    stat_max t.stats "plog_hwm_bytes" (Plog.used_space t.plogs.(region));
+    let last = List.length items - 1 in
     List.iteri
-      (fun idx (tid, es) ->
-        Queue.push
-          {
-            lo = tid;
-            hi = tid;
-            entries = es;
-            region;
-            end_off = record.Plog.end_off;
-            rec_next_seq = record.Plog.seq + 1;
-            last_of_record = idx = n - 1;
-          }
-          t.queues.(region))
-      groups
+      (fun k item ->
+        let recycle =
+          if k = last then Some (region, record.Plog.end_off, record.Plog.seq + 1) else None
+        in
+        Queue.push { item; recycle } t.queues.(region))
+      items;
+    note_flushed t items;
+    match (Redo.span items, t.ship_hook) with
+    | Some (lo, hi), Some f ->
+      f { ship_seq = record.Plog.seq; ship_lo = lo; ship_hi = hi; ship_payload = payload }
+    | _ -> ()
 
   (* ------------------------------------------------------------------ *)
   (* Bounded adaptive group commit                                       *)
@@ -561,9 +525,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
             let cut = find_cut (budget ()) in
             assert (cut > hd);
             let entries = List.init (cut - hd) (fun k -> Vlog.get vlog (hd + k)) in
-            let tids = Log_entry.tids entries in
             stat_max t.stats "batch_hwm_entries" (List.length entries);
-            Sched.advance (t.cfg.Config.flush_cost_per_entry * List.length entries);
+            Sched.advance (flush_cost_per_entry * List.length entries);
             let payload = Log_entry.encode_payload entries in
             (* Seeded mutant (checker self-test only): skip the record's persist
                fence, so the durable ID published below covers a record still
@@ -578,18 +541,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
             in
             note_drain_pace t ~entries:(List.length entries)
               ~cycles:(Sched.now () - t_io);
-            Stats.incr t.stats "flush_records";
-            Stats.add t.stats "flush_payload_bytes" (Bytes.length payload);
-            stat_max t.stats "plog_hwm_bytes" (Plog.used_space plog);
-            queue_items t i entries record;
             Vlog.consume_to vlog cut;
-            note_flushed t tids;
-            (match tids with
-            | [] -> ()
-            | first :: _ ->
-              let lo = List.fold_left min first tids in
-              let hi = List.fold_left max first tids in
-              ship t ~seq:record.Plog.seq ~lo ~hi ~payload);
+            publish t ~region:i (Redo.items t.cfg entries) ~payload record;
             true)
     end
 
@@ -710,11 +663,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           if cm > hd then begin
             let entries = List.init (cm - hd) (fun k -> Vlog.get vlog (hd + k)) in
             List.iter
-              (fun (tid, es) ->
-                (* strip the end mark; re-added when the group is built *)
-                let body = List.filter (function Log_entry.Tx_end _ -> false | _ -> true) es in
-                Hashtbl.replace staging tid body)
-              (split_txs entries);
+              (fun (tx : Redo.item) -> Hashtbl.replace staging tx.lo tx.entries)
+              (Redo.txs entries);
             Vlog.consume_to vlog cm
           end)
         t.vlogs
@@ -734,13 +684,10 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           let combined, cstats =
             Trace.span ~cat:"persist" "combine" (fun () ->
                 List.iter
-                  (fun tid ->
-                    Combine.feed_list builder (Hashtbl.find staging tid);
-                    Combine.feed builder (Log_entry.Tx_end { tid }))
+                  (fun tid -> Combine.feed_list builder (Hashtbl.find staging tid))
                   (List.init take (fun k -> lo + k));
                 let r = Combine.seal builder in
-                Sched.advance
-                  (t.cfg.Config.flush_cost_per_entry * (snd r).Combine.entries_in);
+                Sched.advance (flush_cost_per_entry * (snd r).Combine.entries_in);
                 r)
           in
           Stats.add t.stats "combine_writes_in" cstats.Combine.writes_in;
@@ -753,7 +700,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
                   Sched.advance
                     (int_of_float
                        (float_of_int (Bytes.length body)
-                       *. t.cfg.Config.compress_cost_per_byte));
+                       *. compress_cost_per_byte));
                   let comp = Lz.compress body in
                   Stats.add t.stats "compress_in_bytes" (Bytes.length body);
                   Stats.add t.stats "compress_out_bytes" (Bytes.length comp);
@@ -772,15 +719,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
               Trace.instant ~cat:"persist" "pipe_overlap" hidden
             end
           end;
-          Queue.push
-            { pb_lo = lo; pb_hi = hi; pb_entries = combined; pb_payload = payload }
-            t.prepared;
+          Queue.push { pb_entries = combined; pb_payload = payload } t.prepared;
           List.iter (fun k -> Hashtbl.remove staging (lo + k)) (List.init take (fun k -> k));
           (* Seeded mutant (checker self-test only): acknowledge the batch
              at seal time — its record has not reached NVM, so a crash in
              the pipeline window loses acknowledged transactions. *)
           if t.cfg.Config.fault = Config.Skip_batch_seal then
-            note_flushed t (List.init take (fun k -> lo + k));
+            note_flushed t (Redo.items t.cfg combined);
           t.next_flush <- hi + 1;
           t.staged_open_at <- -1)
     in
@@ -863,23 +808,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         note_drain_pace t ~entries:(List.length pb.pb_entries)
           ~cycles:(Sched.now () - t.flush_started_at);
         t.flush_started_at <- -1;
-        Stats.incr t.stats "flush_records";
-        Stats.add t.stats "flush_payload_bytes" (Bytes.length pb.pb_payload);
-        stat_max t.stats "plog_hwm_bytes" (Plog.used_space t.plogs.(0));
-        Queue.push
-          {
-            lo = pb.pb_lo;
-            hi = pb.pb_hi;
-            entries = pb.pb_entries;
-            region = 0;
-            end_off = record.Plog.end_off;
-            rec_next_seq = record.Plog.seq + 1;
-            last_of_record = true;
-          }
-          t.queues.(0);
-        if t.cfg.Config.fault <> Config.Skip_batch_seal then
-          note_flushed t (List.init (pb.pb_hi - pb.pb_lo + 1) (fun k -> pb.pb_lo + k));
-        ship t ~seq:record.Plog.seq ~lo:pb.pb_lo ~hi:pb.pb_hi ~payload:pb.pb_payload;
+        publish t ~region:0 (Redo.items t.cfg pb.pb_entries) ~payload:pb.pb_payload record;
         loop ()
       end
       else if t.stop_flag && t.combiner_done then ()
@@ -928,7 +857,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     Checkpoint.write t.ckpt
       {
         Checkpoint.reproduced_upto = t.persisted_data;
-        cross_frontier = t.cross_frontier;
+        cross_frontier = !(t.cross_frontier);
         free_extents = Alloc.extents t.repro_alloc;
       };
     (* Recycle each ring up to its furthest completed record. *)
@@ -946,48 +875,26 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     t.pending_recycle <- [];
     t.checkpointed <- t.persisted_data
 
-  let pop_next_item t =
-    let target = applied t + 1 in
-    let found = ref None in
-    Array.iter
-      (fun q ->
-        match Queue.peek_opt q with
-        | Some it when it.lo = target -> found := Some (q, it)
-        | _ -> ())
-      t.queues;
-    match !found with
-    | Some (q, it) ->
-      ignore (Queue.pop q);
-      it
+  let pop_next t =
+    match next_queue t with
+    | Some q -> Queue.pop q
     | None ->
       invalid_arg
-        (Printf.sprintf "Dudetm reproduce: transaction %d durable but not queued" target)
+        (Printf.sprintf "Dudetm reproduce: transaction %d durable but not queued"
+           (applied t + 1))
 
   (* Apply one item's stores and allocator replay atomically, then publish
      the applied watermark.  Persisting is the caller's job: a reproduce
      round applies a whole batch of items under a single persist ordering,
      which is what keeps one background thread ahead of many Perform
      threads. *)
-  let apply_item t it ranges =
-    let n = List.length it.entries in
-    Sched.advance (t.cfg.Config.reproduce_cost_per_entry * n);
-    List.iter
-      (fun e ->
-        match e with
-        | Log_entry.Write { addr; value } ->
-          Nvm.store_u64 t.nvm addr value;
-          ranges := (addr, 8) :: !ranges;
-          Hashtbl.replace t.dirty_extents (addr / t.cfg.Config.crc_extent) ();
-          Hashtbl.replace t.dirty_extents ((addr + 7) / t.cfg.Config.crc_extent) ()
-        | Log_entry.Alloc { off; len } -> Alloc.reserve t.repro_alloc ~off ~len
-        | Log_entry.Free { off; len } -> Alloc.free t.repro_alloc ~off ~len
-        | Log_entry.Cross { gtid; _ } ->
-          if gtid > t.cross_frontier then t.cross_frontier <- gtid
-        | Log_entry.Tx_end _ -> ())
-      it.entries;
-    set_applied t it.hi;
-    if it.last_of_record then
-      t.pending_recycle <- (it.region, it.end_off, it.rec_next_seq) :: t.pending_recycle
+  let apply_next t =
+    let { item; recycle } = pop_next t in
+    Sched.advance (reproduce_cost_per_entry * List.length item.entries);
+    Redo.apply t.nvm ~alloc:t.repro_alloc ~dirty:t.dirty_extents ~ranges:t.repro_ranges
+      ~frontier:t.cross_frontier item;
+    set_applied t item.hi;
+    Option.iter (fun r -> t.pending_recycle <- r :: t.pending_recycle) recycle
 
   let reproduce_round t =
     Trace.span ~cat:"reproduce" "replay" @@ fun () ->
@@ -995,7 +902,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let batch = ref 0 in
     while can_apply t && !batch < t.cfg.Config.reproduce_batch do
       maybe_fault t "reproduce";
-      apply_item t (pop_next_item t) t.repro_ranges;
+      apply_next t;
       applied_any := true;
       incr batch
     done;
@@ -1123,19 +1030,15 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   (* A follower runs no Perform and no Persist: the primary's Persist
      daemon already produced the sealed record, so ingesting one is just
-     the flusher's tail — append the exact shipped payload to ring 0,
-     queue the replay item and advance the local durable watermark.  The
-     follower's ring therefore holds byte-identical records at the same
-     sequence numbers as the primary's ring 0, which is what makes
-     promotion plain [attach] recovery. *)
+     the flusher's tail — append the exact shipped payload to ring 0 and
+     [publish] it.  The follower's ring therefore holds byte-identical
+     records at the same sequence numbers as the primary's ring 0, which
+     is what makes promotion plain [attach] recovery. *)
   let ingest_record t payload =
-    let entries = Log_entry.decode_payload payload in
-    let tids = Log_entry.tids entries in
-    match tids with
-    | [] -> true
-    | first :: _ ->
-      let lo = List.fold_left min first tids in
-      let hi = List.fold_left max first tids in
+    let items = Redo.items t.cfg (Log_entry.decode_payload payload) in
+    match Redo.span items with
+    | None -> true
+    | Some (lo, hi) ->
       if lo <> t.durable + 1 then
         invalid_arg
           (Printf.sprintf
@@ -1147,22 +1050,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
            the frame buffered and retries once recycling frees space. *)
         false
       else begin
-        let record = Plog.append plog payload in
-        Queue.push
-          {
-            lo;
-            hi;
-            entries;
-            region = 0;
-            end_off = record.Plog.end_off;
-            rec_next_seq = record.Plog.seq + 1;
-            last_of_record = true;
-          }
-          t.queues.(0);
-        note_flushed t tids;
-        Stats.incr t.stats "flush_records";
-        Stats.add t.stats "flush_payload_bytes" (Bytes.length payload);
-        stat_max t.stats "plog_hwm_bytes" (Plog.used_space plog);
+        publish t ~region:0 items ~payload (Plog.append plog payload);
         true
       end
 
@@ -1233,8 +1121,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let tm_tx = require_rw dtx in
     require_writable dtx.t;
     touch dtx addr ~wrote:true;
-    Trace.sample ~cat:"perform" "log_append" dtx.t.cfg.Config.log_append_cost;
-    Sched.advance dtx.t.cfg.Config.log_append_cost;
+    Trace.sample ~cat:"perform" "log_append" log_append_cost;
+    Sched.advance log_append_cost;
     Vlog.append dtx.t.vlogs.(dtx.thread) (Log_entry.Write { addr; value });
     Stats.incr dtx.t.stats "log_entries";
     Tm.write tm_tx addr value
@@ -1540,56 +1428,39 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   type prepared = {
     p_cfg : Config.t;
     p_nvm : Nvm.t;
-    p_rjournal : Rjournal.t;
-    p_use_journal : bool;
+    p_journal : Rjournal.t option;  (* [None]: journal bypassed (mutant) *)
     p_ckpt : Checkpoint.t;
-    p_ckpt_upto : int;  (* checkpointed reproduced_upto *)
     p_frontier : int;  (* checkpointed cross-shard frontier *)
     p_repro_alloc : Alloc.t;
     p_plogs : Plog.t array;
     p_corrupted : int;
     p_quarantined : int;
-    p_items : (int * int * Log_entry.t list) list;  (* (lo, hi, entries), sorted *)
-    p_all_tids : (int, unit) Hashtbl.t;
-    p_durable : int;  (* candidate durable ID, before any cross-shard vote *)
-    p_fragments : (int * int * int) list;  (* scanned (gtid, mask, tid) seals *)
+    p_scan : Redo.scan;  (* its [durable] is the candidate before any cross-shard vote *)
   }
 
-  let prepared_durable p = p.p_durable
+  let prepared_durable p = p.p_scan.Redo.durable
 
   let prepared_frontier p = p.p_frontier
 
-  let prepared_fragments p = p.p_fragments
+  let prepared_fragments p = p.p_scan.Redo.fragments
 
-  let prepared_checkpoint_upto p = p.p_ckpt_upto
+  let prepared_checkpoint_upto p = p.p_scan.Redo.upto
 
   let attach_prepare cfg nvm =
     Config.validate cfg;
     if Nvm.size nvm <> Config.nvm_size cfg then
       invalid_arg "Dudetm.attach: device size does not match the configuration";
     (* Recovery is itself crash-consistent: destructive recovery-time
-       writes are ordered behind the intent journal.  First, undo any probe
-       pattern a crashed scrub left in the heap — before trusting a single
-       heap byte.  (The Skip_recovery_journal mutant bypasses the journal
-       to prove the nested-crash campaign catches exactly this.) *)
-    let use_journal = cfg.Config.fault <> Config.Skip_recovery_journal in
-    let rjournal = Rjournal.attach nvm ~base:(Config.rjournal_base cfg) in
-    (match Rjournal.read rjournal with
-    | Rjournal.Probe { line; original } when use_journal ->
-      let ls = Nvm.line_size nvm in
-      Nvm.store_u64 nvm (line * ls) original;
-      Nvm.persist nvm ~off:(line * ls) ~len:8;
-      Rjournal.write rjournal Rjournal.Idle
-    | _ -> ());
+       writes are ordered behind the intent journal, and a probe pattern a
+       crashed scrub left in the heap is undone before trusting a single
+       heap byte. *)
+    let journal = Redo.recovery_journal cfg nvm in
     let ckpt, state = Checkpoint.attach nvm ~base:(Config.meta_base cfg) ~size:cfg.Config.meta_size in
-    let c = state.Checkpoint.reproduced_upto in
-    let repro_alloc = Alloc.restore state.Checkpoint.free_extents in
     let regions = Config.plog_regions cfg in
     let attached =
       Array.init regions (fun r ->
           Plog.attach_scan nvm ~base:(Config.plog_base cfg r) ~size:cfg.Config.plog_size)
     in
-    let plogs = Array.map fst attached in
     let corrupted_records =
       Array.fold_left (fun acc (_, s) -> acc + s.Plog.corrupted_records) 0 attached
     in
@@ -1597,59 +1468,25 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       Array.fold_left (fun acc (_, s) -> acc + s.Plog.quarantined_lines) 0 attached
     in
     if corrupted_records > 0 then Nvm.note_media_detected nvm corrupted_records;
-    (* Collect replay items from every surviving record. *)
-    let all_items = ref [] in
-    let all_tids = Hashtbl.create 1024 in
-    let fragments = ref [] in
-    Array.iter
-      (fun (_, scan) ->
-        List.iter
-        (fun (record : Plog.record) ->
-          let entries = Log_entry.decode_payload record.Plog.payload in
-          let tids = Log_entry.tids entries in
-          List.iter (fun tid -> Hashtbl.replace all_tids tid ()) tids;
-          fragments := List.rev_append (Log_entry.cross_seals entries) !fragments;
-          if cfg.Config.combine then begin
-            match tids with
-            | [] -> ()
-            | first :: _ ->
-              let hi = List.fold_left max first tids in
-              all_items := (first, hi, entries) :: !all_items
-          end
-          else
-            List.iter
-              (fun (tid, es) -> all_items := (tid, tid, es) :: !all_items)
-              (split_txs entries))
-        scan.Plog.records)
-      attached;
-    (* Durable ID: largest contiguous extension of the checkpoint. *)
-    let d = ref c in
-    while Hashtbl.mem all_tids (!d + 1) do
-      incr d
-    done;
     {
       p_cfg = cfg;
       p_nvm = nvm;
-      p_rjournal = rjournal;
-      p_use_journal = use_journal;
+      p_journal = journal;
       p_ckpt = ckpt;
-      p_ckpt_upto = c;
       p_frontier = state.Checkpoint.cross_frontier;
-      p_repro_alloc = repro_alloc;
-      p_plogs = plogs;
+      p_repro_alloc = Alloc.restore state.Checkpoint.free_extents;
+      p_plogs = Array.map fst attached;
       p_corrupted = corrupted_records;
       p_quarantined = quarantined_lines;
-      p_items = List.sort compare !all_items;
-      p_all_tids = all_tids;
-      p_durable = !d;
-      p_fragments = List.sort compare !fragments;
+      p_scan =
+        Redo.scan cfg ~upto:state.Checkpoint.reproduced_upto (Array.map snd attached);
     }
 
   let attach_commit ?durable_cut p =
     Trace.span ~cat:"recovery" "attach" @@ fun () ->
     let cfg = p.p_cfg in
     let nvm = p.p_nvm in
-    let c = p.p_ckpt_upto in
+    let scan = p.p_scan in
     let repro_alloc = p.p_repro_alloc in
     (* The cross-shard vote can only shrink the durable prefix (discarding
        fragments of incomplete cross-shard transaction sets, and with them
@@ -1657,30 +1494,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        checkpoint. *)
     let d =
       match durable_cut with
-      | None -> p.p_durable
+      | None -> scan.Redo.durable
       | Some cut ->
-        if cut > p.p_durable then
+        if cut > scan.Redo.durable then
           invalid_arg "Dudetm.attach_commit: durable cut beyond the scanned prefix";
-        max c cut
+        max scan.Redo.upto cut
     in
-    let keep, dropped =
-      List.partition (fun (lo, hi, _) -> lo > c && hi <= d) p.p_items
-    in
-    let discarded_txs =
-      Hashtbl.fold (fun tid () acc -> if tid > d then acc + 1 else acc) p.p_all_tids 0
-    in
-    let discarded_records =
-      List.length (List.filter (fun (lo, _, _) -> lo > d) dropped)
-    in
-    let replayed_txs =
-      List.fold_left (fun acc (lo, hi, _) -> acc + (hi - lo + 1)) 0 keep
-    in
-    let corrupted_records = p.p_corrupted in
-    let quarantined_lines = p.p_quarantined in
-    let rjournal = p.p_rjournal in
-    let use_journal = p.p_use_journal in
-    let ckpt = p.p_ckpt in
-    let plogs = p.p_plogs in
+    let keep, dropped = Redo.live scan ~durable:d in
     (* The recovery verdict is fully determined before any heap mutation.
        If a previous attach sealed a verdict for the same durable ID and
        then crashed mid-recovery, adopt it: the report converges to the
@@ -1689,40 +1509,28 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        replayed transactions).  Then seal this attach's verdict before the
        replay below mutates anything. *)
     let verdict =
-      let fresh =
+      match Option.map Rjournal.read p.p_journal with
+      | Some (Rjournal.Replay v) when v.Rjournal.v_durable = d -> v
+      | _ ->
         {
           Rjournal.v_durable = d;
-          v_replayed_txs = replayed_txs;
-          v_discarded_txs = discarded_txs;
-          v_discarded_records = discarded_records;
-          v_corrupted_records = corrupted_records;
-          v_quarantined_lines = quarantined_lines;
+          v_replayed_txs =
+            List.fold_left (fun acc (it : Redo.item) -> acc + (it.hi - it.lo + 1)) 0 keep;
+          v_discarded_txs =
+            Hashtbl.fold (fun tid () acc -> if tid > d then acc + 1 else acc) scan.Redo.tids 0;
+          v_discarded_records =
+            List.length (List.filter (fun (it : Redo.item) -> it.lo > d) dropped);
+          v_corrupted_records = p.p_corrupted;
+          v_quarantined_lines = p.p_quarantined;
         }
-      in
-      match Rjournal.read rjournal with
-      | Rjournal.Replay v when use_journal && v.Rjournal.v_durable = d -> v
-      | _ -> fresh
     in
-    if use_journal then Rjournal.write rjournal (Rjournal.Replay verdict);
+    Option.iter (fun j -> Rjournal.write j (Rjournal.Replay verdict)) p.p_journal;
     (* Replay in transaction-ID order. *)
     let ranges = ref [] in
     let replayed_extents = Hashtbl.create 64 in
     let frontier = ref p.p_frontier in
     List.iter
-      (fun (_, _, entries) ->
-        List.iter
-          (fun e ->
-            match e with
-            | Log_entry.Write { addr; value } ->
-              Nvm.store_u64 nvm addr value;
-              ranges := (addr, 8) :: !ranges;
-              Hashtbl.replace replayed_extents (addr / cfg.Config.crc_extent) ();
-              Hashtbl.replace replayed_extents ((addr + 7) / cfg.Config.crc_extent) ()
-            | Log_entry.Alloc { off; len } -> Alloc.reserve repro_alloc ~off ~len
-            | Log_entry.Free { off; len } -> Alloc.free repro_alloc ~off ~len
-            | Log_entry.Cross { gtid; _ } -> if gtid > !frontier then frontier := gtid
-            | Log_entry.Tx_end _ -> ())
-          entries)
+      (Redo.apply nvm ~alloc:repro_alloc ~dirty:replayed_extents ~ranges ~frontier)
       keep;
     Nvm.persist_ranges nvm !ranges;
     (* Reproduce may have written these same extents after the last
@@ -1731,12 +1539,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        CRCs now. *)
     let crcdir = Crcdir.attach nvm cfg in
     Crcdir.update crcdir (Hashtbl.fold (fun e () acc -> e :: acc) replayed_extents []);
-    Checkpoint.write ckpt
+    Checkpoint.write p.p_ckpt
       { Checkpoint.reproduced_upto = d; cross_frontier = !frontier;
         free_extents = Alloc.extents repro_alloc };
     Array.iter
       (fun plog -> Plog.recycle_to plog ~end_off:(Plog.tail_off plog) ~next_seq:(Plog.next_seq plog))
-      plogs;
+      p.p_plogs;
     (* The verdict stays sealed: clearing it here would open a window (a
        crash right after the clear persists) where a re-attach sees the
        recycled rings and reports zero replayed transactions.  The
@@ -1744,13 +1552,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        transactions advance the durable ID. *)
     let badlines, _ = Badline.attach nvm cfg in
     let t =
-      build cfg nvm ~tid_base:d ~plogs ~ckpt ~rjournal ~crcdir ~badlines
+      build cfg nvm ~tid_base:d ~plogs:p.p_plogs ~ckpt:p.p_ckpt ~crcdir ~badlines
         ~allocator:(Alloc.copy repro_alloc) ~repro_alloc
     in
     shun_bad_lines t;
     t.persisted_data <- d;
     t.checkpointed <- d;
-    t.cross_frontier <- !frontier;
+    t.cross_frontier := !frontier;
     ( t,
       {
         durable = verdict.Rjournal.v_durable;

@@ -18,7 +18,12 @@
 
     Dirty volatile data is never written to NVM home locations directly;
     the redo log is the only channel, so CPU-cache evictions of shadow data
-    can never break crash consistency. *)
+    can never break crash consistency.  Every persisted record takes one
+    path ({!Redo}): both Persist flushers and follower ingest publish it
+    through one function, Reproduce and recovery apply it with
+    {!Redo.apply}, one replay gate ({!Make.set_replay_gate}) decides when
+    Reproduce may apply it, and recovery and the offline scrub agree on
+    which records are live after a crash ({!Redo.live}). *)
 
 exception Pmem_exhausted
 (** [pmalloc] found no free extent large enough. *)
@@ -256,6 +261,18 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       distinguish "engine stalled" from "front end overloaded".  The thunk
       must be a pure read.  [None] removes it. *)
 
+  (** {1 Replay gate} *)
+
+  val set_replay_gate : t -> (Redo.item -> bool) option -> unit
+  (** Install the one replay gate: Reproduce applies the next replay item
+      ({!Redo.item}, taken from the persisted record itself) only once
+      [gate item] holds.  The layer that owns the ordering installs it —
+      the sharding layer holds back a cross-shard fragment until every
+      sibling is durable ({!Redo.max_gtid}), the replication layer holds a
+      follower at the cluster's quorum-acked watermark ([item.hi]).  The
+      predicate must be pure — it runs inside scheduler wait conditions.
+      [None] (the default) removes it. *)
+
   (** {1 Cross-shard transactions (sharding layer hooks)} *)
 
   val seal_cross : tx -> gtid:int -> mask:int -> unit
@@ -264,16 +281,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       mark, CRC-sealed into the same durable record.  Called by the
       sharding layer once the body has finished and the set of shards
       actually written is known. *)
-
-  val set_cross_gate : t -> (int -> bool) option -> unit
-  (** Install the cross-shard replay gate: when the next replay item
-      carries a [Cross] seal, Reproduce applies it only once [gate gtid]
-      holds for the item's highest sealed global ID (i.e. every cross-shard
-      transaction at or below it is durable on all its shards).  The global
-      ID comes from the log record itself, so a fragment can never be
-      applied before the sharding layer knows its sibling set.  The
-      predicate must be pure — it runs inside scheduler wait conditions.
-      Ignored under the [Skip_fragment_gate] fault mutant. *)
 
   val cross_frontier : t -> int
   (** Highest cross-shard global transaction ID this region has replayed
@@ -296,8 +303,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       block (the replication layer enqueues onto simulated links). *)
 
   val ingest_record : t -> bytes -> bool
-  (** Follower-side flusher tail: append the shipped payload to ring 0,
-      queue the replay item and advance the local durable watermark.
+  (** Follower-side flusher tail: append the shipped payload to ring 0 and
+      publish it exactly as the primary's flusher did (queue the replay
+      item, advance the local durable watermark).
       Returns [false] (and does nothing) when the ring lacks space — the
       caller keeps the frame buffered and retries after Reproduce recycles.
       Raises [Invalid_argument] if the batch does not extend the follower's
@@ -312,13 +320,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
   (** Ask a follower's Reproduce daemon to checkpoint what is applied and
       exit.  No drain: the replay gate may legitimately hold back a
       never-acknowledged suffix forever. *)
-
-  val set_replay_gate : t -> (int -> bool) option -> unit
-  (** Install the follower's quorum replay gate: Reproduce applies the next
-      item only if [gate hi] holds for the item's last transaction ID.
-      Keeping replay at or below the cluster's acknowledged watermark keeps
-      the checkpoint floor below any legal promotion-time durable cut.  The
-      predicate must be pure — it runs inside scheduler wait conditions. *)
 
   (** {1 Degraded mode} *)
 

@@ -6,6 +6,7 @@ module Checkpoint = Dudetm_core.Checkpoint
 module Crcdir = Dudetm_core.Crcdir
 module Badline = Dudetm_core.Badline
 module Rjournal = Dudetm_core.Rjournal
+module Redo = Dudetm_core.Redo
 module Trace = Dudetm_trace.Trace
 
 type report = {
@@ -60,50 +61,9 @@ let clear_poison nvm =
     lines;
   List.length lines
 
-(* Replay items from the surviving ring records, filtered exactly like
-   engine recovery: keep (lo, hi] ranges extending the checkpoint
-   contiguously up to the recomputed durable ID. *)
-let live_items cfg scans ~ckpt_upto =
-  let all_items = ref [] in
-  let all_tids = Hashtbl.create 256 in
-  Array.iter
-    (fun (scan : Plog.scan) ->
-      List.iter
-        (fun (record : Plog.record) ->
-          let entries = Log_entry.decode_payload record.Plog.payload in
-          let tids = Log_entry.tids entries in
-          List.iter (fun tid -> Hashtbl.replace all_tids tid ()) tids;
-          match tids with
-          | [] -> ()
-          | first :: _ ->
-            if cfg.Config.combine then begin
-              let hi = List.fold_left max first tids in
-              all_items := (first, hi, entries) :: !all_items
-            end
-            else begin
-              (* split per transaction *)
-              let cur = ref [] in
-              List.iter
-                (fun e ->
-                  cur := e :: !cur;
-                  match e with
-                  | Log_entry.Tx_end { tid } ->
-                    all_items := (tid, tid, List.rev !cur) :: !all_items;
-                    cur := []
-                  | _ -> ())
-                entries
-            end)
-        scan.Plog.records)
-    scans;
-  let d = ref ckpt_upto in
-  while Hashtbl.mem all_tids (!d + 1) do
-    incr d
-  done;
-  List.filter (fun (lo, hi, _) -> lo > ckpt_upto && hi <= !d) (List.sort compare !all_items)
-
 (* Per-extent live writes: addr -> value maps in replay order (later
    transactions win), keyed by the extent each write lands in. *)
-let live_writes_by_extent cfg items =
+let live_writes_by_extent items =
   let by_extent : (int, (int * int64) list ref) Hashtbl.t = Hashtbl.create 64 in
   let add extent w =
     match Hashtbl.find_opt by_extent extent with
@@ -111,16 +71,16 @@ let live_writes_by_extent cfg items =
     | None -> Hashtbl.add by_extent extent (ref [ w ])
   in
   List.iter
-    (fun (_, _, entries) ->
+    (fun (it : Redo.item) ->
       List.iter
         (fun e ->
           match e with
           | Log_entry.Write { addr; value } ->
-            add (addr / cfg.Config.crc_extent) (addr, value);
-            if (addr + 7) / cfg.Config.crc_extent <> addr / cfg.Config.crc_extent then
-              add ((addr + 7) / cfg.Config.crc_extent) (addr, value)
+            add (addr / Config.crc_extent) (addr, value);
+            if (addr + 7) / Config.crc_extent <> addr / Config.crc_extent then
+              add ((addr + 7) / Config.crc_extent) (addr, value)
           | _ -> ())
-        entries)
+        it.entries)
     items;
   by_extent
 
@@ -150,18 +110,8 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
   (* Recovery-time writes are ordered behind the intent journal (see
      {!Dudetm_core.Rjournal}).  A previous scrub may have crashed between
      writing a probe pattern into a heap line and restoring the original
-     word; undo that first, before any audit trusts the heap.  The
-     Skip_recovery_journal mutant bypasses the journal so the nested-crash
-     campaign can prove it catches exactly this. *)
-  let use_journal = cfg.Config.fault <> Config.Skip_recovery_journal in
-  let rjournal = Rjournal.attach nvm ~base:(Config.rjournal_base cfg) in
-  (match Rjournal.read rjournal with
-  | Rjournal.Probe { line; original } when use_journal ->
-    let ls = Nvm.line_size nvm in
-    Nvm.store_u64 nvm (line * ls) original;
-    Nvm.persist nvm ~off:(line * ls) ~len:8;
-    Rjournal.write rjournal Rjournal.Idle
-  | _ -> ());
+     word; undo that first, before any audit trusts the heap. *)
+  let journal = Redo.recovery_journal cfg nvm in
   let poison_cleared = if repair then clear_poison nvm else 0 in
   if poison_cleared > 0 then begin
     Nvm.note_media_detected nvm poison_cleared;
@@ -208,8 +158,9 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
     let _, state =
       Checkpoint.attach nvm ~base:(Config.meta_base cfg) ~size:cfg.Config.meta_size
     in
-    let items = live_items cfg scans ~ckpt_upto:state.Checkpoint.reproduced_upto in
-    let by_extent = live_writes_by_extent cfg items in
+    (* Only records recovery would replay may repair an extent. *)
+    let rings = Redo.scan cfg ~upto:state.Checkpoint.reproduced_upto scans in
+    let by_extent = live_writes_by_extent (fst (Redo.live rings ~durable:rings.Redo.durable)) in
     let crcdir = Crcdir.attach nvm cfg in
     let stuck_remapped = ref 0 in
     let table_full = ref false in
@@ -264,8 +215,7 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
              otherwise leave the complement in live data with nothing
              pointing at it.  Each intent supersedes the previous line's
              (that probe completed), so one Idle at the end suffices. *)
-          if use_journal then
-            Rjournal.write rjournal (Rjournal.Probe { line = l; original });
+          Option.iter (fun j -> Rjournal.write j (Rjournal.Probe { line = l; original })) journal;
           probed_any := true;
           Nvm.store_u64 nvm (l * ls) pattern;
           Nvm.persist nvm ~off:(l * ls) ~len:8;
@@ -279,7 +229,7 @@ let scrub ?(repair = true) ?(probe_stuck = false) cfg nvm =
           end
         end
       done;
-      if use_journal && !probed_any then Rjournal.write rjournal Rjournal.Idle
+      if !probed_any then Option.iter (fun j -> Rjournal.write j Rjournal.Idle) journal
     end;
     {
       ckpt = ckpt_status;

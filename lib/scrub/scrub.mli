@@ -14,9 +14,10 @@
       sequence number), reporting every sealed record lost.
     - {b Heap extents}: each extent is re-verified against the persistent
       CRC directory.  A mismatching extent covered by still-live log
-      records is repaired by replaying their writes and resealed; one with
-      no live coverage is an unreconstructible loss, reported in
-      [bad_extents] — corruption is never silently served.
+      records (live by recovery's own rule, {!Dudetm_core.Redo.live}) is
+      repaired by replaying their writes and resealed; one with no live
+      coverage is an unreconstructible loss, reported in [bad_extents] —
+      corruption is never silently served.
     - {b Stuck lines}: repair writes are read back from the persisted
       image; a line that kept its old content is remapped via the
       persistent bad-line table (optionally, [probe_stuck] write-probes

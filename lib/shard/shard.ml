@@ -123,11 +123,19 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* Construction                                                        *)
   (* ------------------------------------------------------------------ *)
 
+  (* The engines' replay gate: an item carrying a fragment replays only
+     once every sibling set at or below its global ID is durable.  The
+     Skip_fragment_gate mutant (checker self-test only) installs none. *)
   let install_gates t =
-    Array.iter
-      (fun e ->
-        Engine.set_cross_gate e (Some (fun g -> g <= t.frontier || is_durable_upto t g)))
-      t.engines
+    if t.cfg.Config.fault <> Config.Skip_fragment_gate then
+      Array.iter
+        (fun e ->
+          Engine.set_replay_gate e
+            (Some
+               (fun it ->
+                 let g = Dudetm_core.Redo.max_gtid it in
+                 g = 0 || g <= t.frontier || is_durable_upto t g)))
+        t.engines
 
   (* Durable-only snapshot readers on shard [s] pin at its entry of the
      vector watermark, not at the raw engine durable counter: a fragment

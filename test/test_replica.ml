@@ -14,6 +14,7 @@ module Stats = Dudetm_sim.Stats
 module Nvm = Dudetm_nvm.Nvm
 module Config = Dudetm_core.Config
 module Wire = Dudetm_log.Wire
+module Plog = Dudetm_log.Plog
 module Trace = Dudetm_trace.Trace
 module Check = Dudetm_check.Check
 module Campaign = Dudetm_check.Campaign
@@ -227,6 +228,51 @@ let test_k1_matches_unreplicated () =
   let r0 = Rep.replica c 0 in
   check Alcotest.int "follower sealed the full prefix" (E.durable_id prim) (E.durable_id r0);
   check Alcotest.int "follower replayed the full prefix" (E.durable_id prim) (E.applied_id r0)
+
+(* The follower ring is a byte-identical prefix of the primary's ring 0:
+   with clean links and no recycling, every record a follower holds has
+   the same sequence number and payload as the primary's record there. *)
+let test_follower_ring_byte_identical () =
+  let c0 = { (cfg ()) with Config.checkpoint_records = 1_000; plog_size = 1 lsl 16 } in
+  let c = Rep.create ~rcfg:(rcfg 3) c0 in
+  let prim = Rep.primary c in
+  let ring eng =
+    let _, records =
+      Plog.attach (E.nvm eng) ~base:(Config.plog_base c0 0) ~size:c0.Config.plog_size
+    in
+    List.map (fun r -> (r.Plog.seq, Bytes.to_string r.Plog.payload)) records
+  in
+  let rings = ref [||] in
+  ignore
+    (Sched.run (fun () ->
+         Rep.start c;
+         let committed = ref 0 and done_workers = ref 0 in
+         spawn_workers prim ~nthreads:2 ~txs:12 ~committed ~done_workers;
+         Sched.wait_until ~label:"workers done" (fun () -> !done_workers = 2);
+         ignore (Rep.drain c);
+         Rep.sync_followers c;
+         (* Read the rings before [stop]: its final checkpoint recycles them. *)
+         rings :=
+           Array.init (Rep.nreplicas c + 1) (fun i ->
+               ring (if i = 0 then prim else Rep.replica c (i - 1)));
+         Rep.stop c));
+  let primary = !rings.(0) in
+  check Alcotest.bool "primary ring holds several records" true (List.length primary > 1);
+  for i = 1 to Rep.nreplicas c do
+    let follower = !rings.(i) in
+    check Alcotest.int
+      (Printf.sprintf "replica %d holds every record" (i - 1))
+      (List.length primary) (List.length follower);
+    List.iter
+      (fun (seq, payload) ->
+        match List.assoc_opt seq primary with
+        | Some p ->
+          check Alcotest.string
+            (Printf.sprintf "replica %d record %d is byte-identical" (i - 1) seq)
+            p payload
+        | None -> Alcotest.failf "replica %d holds record %d the primary lacks" (i - 1) seq)
+      follower
+  done
 
 (* ------------------- hostile links, end to end -------------------------- *)
 
@@ -553,6 +599,8 @@ let suite =
     Alcotest.test_case "replica: config validation" `Quick test_create_validates;
     Alcotest.test_case "replica: K=1 degenerates to the unreplicated engine" `Quick
       test_k1_matches_unreplicated;
+    Alcotest.test_case "replica: follower ring is a byte-identical prefix" `Quick
+      test_follower_ring_byte_identical;
     Alcotest.test_case "replica: hostile links — dedup, CRC, retransmit, converge" `Quick
       test_faulty_links_end_to_end;
     Alcotest.test_case "replica: promotion truncates to the quorum prefix" `Quick

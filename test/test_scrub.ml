@@ -66,7 +66,7 @@ let test_undamaged_image_nothing_lost () =
   check Alcotest.int "no reformatted rings" 0 r.Scrub.rings_reformatted;
   check Alcotest.int "no ring corruption" 0 r.Scrub.ring_corrupted_records;
   check Alcotest.int "every extent audited"
-    (scfg.Config.heap_size / scfg.Config.crc_extent)
+    (scfg.Config.heap_size / Config.crc_extent)
     r.Scrub.extents_checked;
   (* Recovery after the scrub works and agrees with the image. *)
   let t2, report = D.attach scfg nvm in
@@ -131,10 +131,43 @@ let test_unreconstructible_loss_reported () =
   Nvm.crash nvm;
   Nvm.inject_fault nvm (Nvm.Bit_rot { off = 3000; bit = 2 });
   let r = Scrub.scrub scfg nvm in
-  check Alcotest.(list int) "lost extent reported" [ 3000 / scfg.Config.crc_extent ]
+  check Alcotest.(list int) "lost extent reported" [ 3000 / Config.crc_extent ]
     r.Scrub.bad_extents;
   check Alcotest.int "nothing falsely repaired" 0 r.Scrub.extents_repaired;
   check Alcotest.bool "not a clean report" false (Scrub.clean r)
+
+let test_combined_scrub_stops_at_gap () =
+  (* A combined ring (one item per record) holding a record past a
+     transaction-ID gap: [1,2] is live, [4,5] lies beyond the missing 3, so
+     recovery discards it and scrub may not repair from it. *)
+  let ccfg = { scfg with Config.combine = true; group_size = 2 } in
+  let t = D.create ccfg in
+  let nvm = D.nvm t in
+  let plog, _ =
+    Plog.attach nvm ~base:(Config.plog_base ccfg 0) ~size:ccfg.Config.plog_size
+  in
+  let record entries = ignore (Plog.append plog (Log_entry.encode_payload entries)) in
+  record
+    [ Log_entry.Write { addr = 512; value = 77L }; Log_entry.Tx_end { tid = 1 };
+      Log_entry.Tx_end { tid = 2 } ];
+  record
+    [ Log_entry.Write { addr = 2048; value = 88L }; Log_entry.Tx_end { tid = 4 };
+      Log_entry.Tx_end { tid = 5 } ];
+  Nvm.crash nvm;
+  Nvm.inject_fault nvm (Nvm.Bit_rot { off = 513; bit = 3 });
+  Nvm.inject_fault nvm (Nvm.Bit_rot { off = 2049; bit = 3 });
+  let r = Scrub.scrub ccfg nvm in
+  check Alcotest.int "extent under the live record repaired" 1 r.Scrub.extents_repaired;
+  check Alcotest.(list int) "extent covered only past the gap reported"
+    [ 2048 / Config.crc_extent ] r.Scrub.bad_extents;
+  check Alcotest.int64 "live write replayed" 77L (Nvm.persisted_u64 nvm 512);
+  let t2, report = D.attach ccfg nvm in
+  check Alcotest.int "attach replays the same prefix" 2 report.Dudetm_core.Dudetm.durable;
+  check Alcotest.int "live record replayed" 2 report.Dudetm_core.Dudetm.replayed_txs;
+  check Alcotest.int "transactions past the gap discarded" 2
+    report.Dudetm_core.Dudetm.discarded_txs;
+  check Alcotest.int64 "live write served" 77L (D.heap_read_u64 t2 512);
+  check Alcotest.bool "write past the gap never served" true (D.heap_read_u64 t2 2048 <> 88L)
 
 let test_checkpoint_slot_repaired () =
   let nvm = quiescent_image () in
@@ -185,6 +218,8 @@ let suite =
       test_repair_from_live_records;
     Alcotest.test_case "unreconstructible loss reported" `Quick
       test_unreconstructible_loss_reported;
+    Alcotest.test_case "combined ring: repair stops at the transaction-ID gap" `Quick
+      test_combined_scrub_stops_at_gap;
     Alcotest.test_case "checkpoint slot repaired" `Quick test_checkpoint_slot_repaired;
     Alcotest.test_case "double checkpoint loss is fatal" `Quick test_both_slots_lost_is_fatal;
     Alcotest.test_case "stuck line remapped persistently" `Quick test_stuck_line_remapped;
