@@ -366,13 +366,17 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let set_replay_gate t gate = t.replay_gate <- gate
 
-  (* The queue whose head is the next replay item, if its turn has come
-     (pure: no pop). *)
-  let next_queue t =
-    let target = applied t + 1 in
-    Array.find_opt
-      (fun q -> match Queue.peek_opt q with Some qd -> qd.item.lo = target | None -> false)
-      t.queues
+  let rec queue_headed queues target i =
+    if i = Array.length queues then -1
+    else
+      let q = queues.(i) in
+      if (not (Queue.is_empty q)) && (Queue.peek q).item.lo = target then i
+      else queue_headed queues target (i + 1)
+
+  (* Index of the queue whose head is the next replay item, or -1 if its
+     turn has not come (pure: no pop, no allocation — Reproduce's wait
+     predicate polls it). *)
+  let next_queue t = queue_headed t.queues (applied t + 1) 0
 
   (* May Reproduce apply the next item?  The installed gate is pure (it
      reads sibling shards' durable counters or a quorum watermark cell), so
@@ -388,10 +392,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let can_apply t =
     t.durable > applied t
     &&
-    match next_queue t with
-    | None -> t.cfg.Config.fault <> Config.Skip_batch_seal
-    | Some q -> (
-      match t.replay_gate with Some gate -> gate (Queue.peek q).item | None -> true)
+    let i = next_queue t in
+    if i < 0 then t.cfg.Config.fault <> Config.Skip_batch_seal
+    else match t.replay_gate with Some gate -> gate (Queue.peek t.queues.(i)).item | None -> true
 
   (* ------------------------------------------------------------------ *)
   (* Persist step                                                        *)
@@ -876,9 +879,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     t.checkpointed <- t.persisted_data
 
   let pop_next t =
-    match next_queue t with
-    | Some q -> Queue.pop q
-    | None ->
+    let i = next_queue t in
+    if i >= 0 then Queue.pop t.queues.(i)
+    else
       invalid_arg
         (Printf.sprintf "Dudetm reproduce: transaction %d durable but not queued"
            (applied t + 1))

@@ -37,14 +37,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     | Ack_local of { shard : int; tid : int }
     | Ack_cross of { gtid : int }
 
-  (* Sibling set of one cross-shard transaction: [Pending] between the
-     global-ID draw and commit completion (blocks the frontier so a
-     fragment whose record races ahead of registration still waits);
-     [Sealed] once every fragment's local transaction ID is known. *)
-  type frag_set =
-    | Pending
-    | Sealed of { mask : int; frags : (int * int) list (* (shard, tid) *) }
-
   type t = {
     cfg : Config.t;
     nshards : int;
@@ -52,9 +44,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     blocked : bool array;  (* cross path is quiescing this shard *)
     active : int array;  (* in-flight single-shard transactions *)
     mutable cross_lock : bool;
-    mutable next_gtid : int;  (* last drawn global cross-shard ID *)
-    reg : (int, frag_set) Hashtbl.t;  (* gtid -> sibling set, > frontier *)
-    mutable frontier : int;  (* GF: all sets <= this are fully durable *)
+    gf : Frontier.t;  (* sibling sets, the global frontier, the vector watermark *)
     stats : Stats.t;
   }
 
@@ -65,59 +55,6 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     mutable written_mask : int;  (* shards actually written *)
     mutable gtid : int;  (* 0 until a fragment seal is drawn *)
   }
-
-  (* ------------------------------------------------------------------ *)
-  (* The global frontier (pure readers + one impure advancer)            *)
-  (* ------------------------------------------------------------------ *)
-
-  (* Is sibling set [g] fully durable?  Pure: reads durable counters only.
-     A gtid absent from the registry was pruned at a frontier advance, so
-     it is already known durable. *)
-  let set_durable t g =
-    match Hashtbl.find_opt t.reg g with
-    | None -> true
-    | Some Pending -> false
-    | Some (Sealed { frags; _ }) ->
-      List.for_all (fun (s, tid) -> Engine.durable_id t.engines.(s) >= tid) frags
-
-  (* GF as of now, without mutating anything (safe in wait conditions). *)
-  let pure_frontier t =
-    let rec go g = if g < t.next_gtid && set_durable t (g + 1) then go (g + 1) else g in
-    go t.frontier
-
-  (* Every set in (frontier, g] durable?  The engines' replay gate. *)
-  let is_durable_upto t g =
-    let rec go g' = g' > g || (set_durable t g' && go (g' + 1)) in
-    go (t.frontier + 1)
-
-  (* Publish GF and prune the registry below it.  Impure: never call from a
-     wait predicate. *)
-  let advance_frontier t =
-    let gf = pure_frontier t in
-    for g = t.frontier + 1 to gf do
-      Hashtbl.remove t.reg g
-    done;
-    t.frontier <- gf
-
-  (* Effective (acknowledgeable) durable ID of shard [s]: its engine's
-     durable counter, cut just below its first fragment beyond GF — such a
-     fragment can still be discarded by the recovery vote (directly, or by
-     the contiguity cascade of an earlier incomplete set), so nothing at or
-     above it may be acknowledged yet. *)
-  let pure_effective t s =
-    let gf = pure_frontier t in
-    Hashtbl.fold
-      (fun g v acc ->
-        match v with
-        | Pending -> acc
-        | Sealed { frags; _ } ->
-          if g > gf then
-            List.fold_left
-              (fun acc (s', tid) -> if s' = s then min acc (tid - 1) else acc)
-              acc frags
-          else acc)
-      t.reg
-      (Engine.durable_id t.engines.(s))
 
   (* ------------------------------------------------------------------ *)
   (* Construction                                                        *)
@@ -134,17 +71,17 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
             (Some
                (fun it ->
                  let g = Dudetm_core.Redo.max_gtid it in
-                 g = 0 || g <= t.frontier || is_durable_upto t g)))
+                 g = 0 || Frontier.is_durable_upto t.gf g)))
         t.engines
 
   (* Durable-only snapshot readers on shard [s] pin at its entry of the
      vector watermark, not at the raw engine durable counter: a fragment
      beyond the global frontier can still be discarded by the recovery
-     vote, so durable-mode reads must not observe it.  [pure_effective]
+     vote, so durable-mode reads must not observe it.  [Frontier.effective]
      is side-effect free, as the snapshot pin wait requires. *)
   let install_ro_watermarks t =
     Array.iteri
-      (fun s e -> Engine.set_ro_watermark e (Some (fun () -> pure_effective t s)))
+      (fun s e -> Engine.set_ro_watermark e (Some (fun () -> Frontier.effective t.gf s)))
       t.engines
 
   let check_nshards nshards =
@@ -160,9 +97,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         blocked = Array.make nshards false;
         active = Array.make nshards 0;
         cross_lock = false;
-        next_gtid = 0;
-        reg = Hashtbl.create 64;
-        frontier = 0;
+        gf = Frontier.create ~nshards ~durable:(fun s -> Engine.durable_id engines.(s));
         stats = Stats.create ();
       }
     in
@@ -189,7 +124,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let stats t = t.stats
 
-  let last_cross_gtid t = t.next_gtid
+  let last_cross_gtid t = Frontier.last t.gf
 
   (* ------------------------------------------------------------------ *)
   (* Transactions                                                        *)
@@ -282,10 +217,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
            commits, so each fragment's redo record carries its sibling
            mask. *)
         if popcount tx.written_mask >= 2 then begin
-          let g = t.next_gtid + 1 in
-          t.next_gtid <- g;
+          let g = Frontier.draw t.gf in
           tx.gtid <- g;
-          Hashtbl.replace t.reg g Pending;
           List.iter
             (fun s ->
               if tx.written_mask land (1 lsl s) <> 0 then
@@ -313,8 +246,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
          until now the frontier (and therefore every region's replay gate
          and acknowledgement watermark) treated gtid as not-yet-durable. *)
       if tx.gtid > 0 then begin
-        let fs = List.filter (fun (s, _) -> tx.written_mask land (1 lsl s) <> 0) !frags in
-        Hashtbl.replace t.reg tx.gtid (Sealed { mask = tx.written_mask; frags = fs })
+        Frontier.seal t.gf tx.gtid
+          (List.filter (fun (s, _) -> tx.written_mask land (1 lsl s) <> 0) !frags)
       end;
       let ack =
         if tx.gtid > 0 then Ack_cross { gtid = tx.gtid }
@@ -372,29 +305,30 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   (* ------------------------------------------------------------------ *)
 
   let global_frontier t =
-    advance_frontier t;
-    t.frontier
+    Frontier.advance t.gf;
+    Frontier.frontier t.gf
 
   let durable_vector t =
-    advance_frontier t;
+    Frontier.advance t.gf;
     Array.map Engine.durable_id t.engines
 
   let effective_durable t s =
-    advance_frontier t;
-    pure_effective t s
+    Frontier.advance t.gf;
+    Frontier.effective t.gf s
 
   let effective_vector t =
-    advance_frontier t;
-    Array.init t.nshards (pure_effective t)
+    Frontier.advance t.gf;
+    Array.init t.nshards (Frontier.effective t.gf)
 
   let wait_durable t = function
     | Ack_read_only -> ()
     | Ack_local { shard; tid } ->
-      Sched.wait_until ~label:"shard durable" (fun () -> pure_effective t shard >= tid);
-      advance_frontier t
+      Sched.wait_until ~label:"shard durable" (fun () -> Frontier.effective t.gf shard >= tid);
+      Frontier.advance t.gf
     | Ack_cross { gtid } ->
-      Sched.wait_until ~label:"shard cross durable" (fun () -> pure_frontier t >= gtid);
-      advance_frontier t
+      Sched.wait_until ~label:"shard cross durable" (fun () ->
+          Frontier.pure_frontier t.gf >= gtid);
+      Frontier.advance t.gf
 
   (* ------------------------------------------------------------------ *)
   (* Drain / stop                                                        *)
@@ -407,7 +341,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let drain t =
     Array.iter Engine.begin_drain t.engines;
     Array.iter Engine.drain t.engines;
-    advance_frontier t
+    Frontier.advance t.gf
 
   let stop t =
     drain t;
@@ -495,8 +429,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     Array.iter
       (fun fs -> List.iter (fun (g, _, _) -> maxg := max !maxg g) fs)
       (Array.map Engine.prepared_fragments preps);
-    t.next_gtid <- !maxg;
-    t.frontier <- !maxg;
+    Frontier.restart t.gf !maxg;
     let voted_cuts = Array.mapi (fun i c -> candidates.(i) - c) cuts in
     (t, { reports; voted_cuts; discarded_fragments = discarded })
 end

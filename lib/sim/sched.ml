@@ -23,6 +23,7 @@ type thread = {
   daemon : bool;
   mutable clock : int;
   mutable state : state;
+  mutable blocked : bool;  (* Waiting, and its predicate was false at this step *)
 }
 
 type strategy =
@@ -30,12 +31,15 @@ type strategy =
   | Choice of (step:int -> candidates:int -> int)
 
 type sched = {
-  mutable threads : thread list;  (* in spawn order; ids are positions *)
+  mutable threads : thread list;
+      (* in spawn order, so ids ascend; finished threads are dropped when
+         new ones are absorbed *)
   mutable rev_new : thread list;  (* threads spawned since last loop pass *)
   mutable next_id : int;
   mutable live_non_daemon : int;
   mutable watermark : int;
   mutable steps : int;  (* decision points (>= 2 runnable) so far *)
+  mutable runnable : int;  (* runnable threads found by the last [pick] scan *)
   strategy : strategy;
   trace : bool;
 }
@@ -85,7 +89,9 @@ let handler s t =
             (fun k ->
               let id = s.next_id in
               s.next_id <- id + 1;
-              let nt = { id; name; daemon; clock = t.clock; state = Not_started f } in
+              let nt =
+                { id; name; daemon; clock = t.clock; state = Not_started f; blocked = false }
+              in
               Trace.note_thread ~tid:id name;
               Trace.instant_at ~ts:t.clock ~tid:t.id ~cat:"sched" "spawn" id;
               s.rev_new <- nt :: s.rev_new;
@@ -98,62 +104,79 @@ let handler s t =
 
 let absorb_new s =
   if s.rev_new <> [] then begin
-    s.threads <- s.threads @ List.rev s.rev_new;
+    s.threads <-
+      List.filter (fun t -> match t.state with Finished -> false | _ -> true) s.threads
+      @ List.rev s.rev_new;
     s.rev_new <- []
   end
 
-(* A blocked thread whose predicate is still false has its clock dragged up
-   to the winning clock, modelling time passing while it polls. *)
-let drag_waiters s w =
-  List.iter
-    (fun t ->
-      match t.state with
-      | Waiting { pred; _ } when not (pred ()) ->
-        if t.clock < w.clock then t.clock <- w.clock
-      | _ -> ())
-    s.threads
+(* Stand-in for "no thread", so that [pick] returns without allocating an
+   option. *)
+let nobody =
+  { id = -1; name = "<none>"; daemon = true; clock = max_int; state = Finished; blocked = false }
 
-let runnable t =
+(* Runnable as of this step's verdicts: [scan] refreshes [blocked] first. *)
+let is_runnable t =
   match t.state with
   | Not_started _ | Paused _ -> true
-  | Waiting { pred; _ } -> pred ()
+  | Waiting _ -> not t.blocked
   | Running | Finished -> false
 
-(* Pick the next thread to resume.  Min_clock takes the runnable thread with
-   the smallest (clock, id) — conservative discrete-event order.  A Choice
-   strategy is consulted at every decision point (>= 2 runnable threads)
-   with the candidates sorted in that same order, so index 0 degenerates to
-   Min_clock and any other index is a legal preemption. *)
+(* The one pass of [pick]: evaluate each waiting thread's predicate exactly
+   once, caching the verdict in [blocked], count the runnable threads and
+   return the runnable one with the smallest (clock, id).  The list is in
+   id order, so a strict [<] keeps the smallest id on a clock tie.
+   Top-level and tail-recursive so the Min_clock path allocates nothing. *)
+let rec scan s best = function
+  | [] -> best
+  | t :: rest ->
+    (match t.state with Waiting { pred; _ } -> t.blocked <- not (pred ()) | _ -> ());
+    if is_runnable t then begin
+      s.runnable <- s.runnable + 1;
+      scan s (if best == nobody || t.clock < best.clock then t else best) rest
+    end
+    else scan s best rest
+
+(* A blocked thread has its clock dragged up to the winning clock,
+   modelling time passing while it polls. *)
+let rec drag_blocked clock = function
+  | [] -> ()
+  | t :: rest ->
+    if t.blocked && t.clock < clock then t.clock <- clock;
+    drag_blocked clock rest
+
+(* The candidate a Choice strategy picks at a decision point, from the
+   verdicts [scan] cached: the runnable threads in (clock, id) order. *)
+let choose_candidate s choose best =
+  let step = s.steps in
+  s.steps <- step + 1;
+  let n = s.runnable in
+  let i = choose ~step ~candidates:n in
+  if i <= 0 || i >= n then best
+  else
+    let sorted =
+      List.sort
+        (fun a b -> compare (a.clock, a.id) (b.clock, b.id))
+        (List.filter is_runnable s.threads)
+    in
+    List.nth sorted i
+
+(* Pick the next thread to resume, or [nobody].  Min_clock takes the
+   runnable thread with the smallest (clock, id) — conservative
+   discrete-event order.  A Choice strategy is consulted at every decision
+   point (>= 2 runnable threads) with the candidates in that same order, so
+   index 0 degenerates to Min_clock and any other index is a legal
+   preemption. *)
 let pick s =
-  let best =
+  s.runnable <- 0;
+  let best = scan s nobody s.threads in
+  let w =
     match s.strategy with
-    | Min_clock ->
-      let best = ref None in
-      List.iter
-        (fun t ->
-          if runnable t then
-            match !best with
-            | None -> best := Some t
-            | Some b -> if t.clock < b.clock then best := Some t)
-        s.threads;
-      !best
-    | Choice choose -> (
-      match List.filter runnable s.threads with
-      | [] -> None
-      | [ t ] -> Some t
-      | cands ->
-        let sorted =
-          List.sort (fun a b -> compare (a.clock, a.id) (b.clock, b.id)) cands
-        in
-        let n = List.length sorted in
-        let step = s.steps in
-        s.steps <- step + 1;
-        let i = choose ~step ~candidates:n in
-        let i = if i < 0 || i >= n then 0 else i in
-        Some (List.nth sorted i))
+    | Choice choose when s.runnable >= 2 -> choose_candidate s choose best
+    | Min_clock | Choice _ -> best
   in
-  (match best with Some w -> drag_waiters s w | None -> ());
-  best
+  if w != nobody then drag_blocked w.clock s.threads;
+  w
 
 let resume s t =
   if t.clock > s.watermark then s.watermark <- t.clock;
@@ -212,11 +235,15 @@ let run ?(trace = false) ?(strategy = Min_clock) main =
       live_non_daemon = 1;
       watermark = 0;
       steps = 0;
+      runnable = 0;
       strategy;
       trace;
     }
   in
-  let t0 = { id = 0; name = "main"; daemon = false; clock = 0; state = Not_started main } in
+  let t0 =
+    { id = 0; name = "main"; daemon = false; clock = 0; state = Not_started main;
+      blocked = false }
+  in
   s.threads <- [ t0 ];
   current := Some s;
   let release () = current := None in
@@ -224,11 +251,10 @@ let run ?(trace = false) ?(strategy = Min_clock) main =
      let rec loop () =
        absorb_new s;
        if s.live_non_daemon > 0 then
-         match pick s with
-         | Some t ->
-           resume s t;
-           loop ()
-         | None -> raise (Deadlock (blocked_report s))
+         let t = pick s in
+         if t == nobody then raise (Deadlock (blocked_report s));
+         resume s t;
+         loop ()
      in
      loop ();
      absorb_new s;

@@ -75,7 +75,16 @@ val wait_until : ?label:string -> (unit -> bool) -> unit
 (** [wait_until p] blocks the calling thread until [p ()] is true.  [p] must
     be a pure read of shared state.  While blocked, the thread's clock
     follows simulated time.  Outside {!run}, returns immediately if [p ()]
-    holds and raises {!Deadlock} otherwise. *)
+    holds and raises {!Deadlock} otherwise.
+
+    The scheduler evaluates [p] at most once per scheduling step, and an
+    unspecified number of times overall: every step re-polls every blocked
+    thread, so predicates are the simulator's hottest host code.  Besides
+    being pure, [p] should neither allocate nor scan unbounded state.  The
+    known scans are the serving session's ["serve window"] and
+    ["serve tail"] waits (over the session's descriptor slots) and the
+    shard replay gate's [Dudetm_shard.Frontier.is_durable_upto] (over the
+    cross-shard sets above the published frontier). *)
 
 val now : unit -> int
 (** Current local clock of the calling thread (0 outside {!run}). *)

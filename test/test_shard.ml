@@ -243,6 +243,137 @@ let test_recover_and_continue () =
   check Alcotest.int "fresh gtids continue after recovery" (before + 6)
     (Sh.global_frontier sh2)
 
+(* ------------------------------------------------------------------ *)
+(* The vector watermark against the registry fold it replaced          *)
+(* ------------------------------------------------------------------ *)
+
+module Frontier = Dudetm_shard.Frontier
+
+type model_set = M_pending | M_sealed of (int * int) list
+
+(* The oracle keeps every set ever drawn (a pruned set is durable, so it
+   never holds GF back) and recomputes GF and each shard's effective ID
+   from scratch: GF by a scan from gtid 1, the effective ID by folding the
+   whole registry, as the shard layer did before the per-shard lists. *)
+let oracle_frontier model ~last durable =
+  let rec go g =
+    if g >= last then g
+    else
+      match Hashtbl.find model (g + 1) with
+      | M_sealed frags when List.for_all (fun (s, tid) -> durable.(s) >= tid) frags -> go (g + 1)
+      | _ -> g
+  in
+  go 0
+
+let oracle_effective model ~gf durable s =
+  Hashtbl.fold
+    (fun g v acc ->
+      match v with
+      | M_pending -> acc
+      | M_sealed frags ->
+        if g > gf then
+          List.fold_left (fun acc (s', tid) -> if s' = s then min acc (tid - 1) else acc) acc frags
+        else acc)
+    model durable.(s)
+
+(* Random registries with Pending and Sealed sets on both sides of GF:
+   each step draws a set, seals a random pending one (fragments on a random
+   subset of 4 shards, at tids around the shard's durable ID), raises a
+   shard's durable ID, or publishes GF (pruning below it).  After every
+   step the per-shard lists must give the oracle's GF and effective IDs. *)
+let prop_watermark_matches_fold =
+  let nshards = 4 in
+  QCheck2.Test.make ~name:"shard: per-shard fragment lists match the registry fold" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 80) (tup3 (int_range 0 3) (int_range 0 15) (int_range 0 15)))
+    (fun ops ->
+      let durable = Array.make nshards 0 in
+      let f = Frontier.create ~nshards ~durable:(fun s -> durable.(s)) in
+      let model = Hashtbl.create 16 in
+      let pending = ref [] in
+      List.iter
+        (fun (kind, x, y) ->
+          (match kind with
+          | 0 ->
+            let g = Frontier.draw f in
+            Hashtbl.replace model g M_pending;
+            pending := !pending @ [ g ]
+          | 1 when !pending <> [] ->
+            let g = List.nth !pending (x mod List.length !pending) in
+            pending := List.filter (( <> ) g) !pending;
+            let frags =
+              List.filter_map
+                (fun s ->
+                  if (y + 1) land (1 lsl s) <> 0 then Some (s, durable.(s) - 1 + ((x + s) mod 4))
+                  else None)
+                (List.init nshards Fun.id)
+            in
+            Frontier.seal f g frags;
+            Hashtbl.replace model g (M_sealed frags)
+          | 2 -> durable.(x mod nshards) <- durable.(x mod nshards) + (y mod 3)
+          | _ -> Frontier.advance f);
+          let gf = oracle_frontier model ~last:(Frontier.last f) durable in
+          if Frontier.pure_frontier f <> gf then
+            QCheck2.Test.fail_reportf "frontier %d, oracle %d" (Frontier.pure_frontier f) gf;
+          for s = 0 to nshards - 1 do
+            let want = oracle_effective model ~gf durable s in
+            if Frontier.effective f s <> want then
+              QCheck2.Test.fail_reportf "shard %d: effective %d, registry fold %d" s
+                (Frontier.effective f s) want
+          done)
+        ops;
+      (* The readers are polled by wait predicates: they must not allocate. *)
+      let before = Gc.minor_words () in
+      for s = 0 to nshards - 1 do
+        ignore (Frontier.effective f s);
+        ignore (Frontier.is_durable_upto f (Frontier.last f))
+      done;
+      let words = Gc.minor_words () -. before in
+      if words > 0.0 then QCheck2.Test.fail_reportf "pure readers allocated %.0f words" words;
+      true)
+
+(* The acknowledgeable vector never moves backwards while transfers and
+   local bumps on 4 shards run under a monitor that samples it. *)
+let prop_effective_vector_monotone =
+  let nshards = 4 in
+  QCheck2.Test.make ~name:"shard: effective vector never decreases" ~count:4
+    QCheck2.Gen.(int_range 1 1_000_000)
+    (fun seed ->
+      let sh = Sh.create ~nshards (small_cfg ()) in
+      let samples = ref 0 in
+      ignore
+        (Sched.run (fun () ->
+             Sh.start sh;
+             seed_shards sh nshards;
+             let running = ref 3 in
+             for w = 0 to 2 do
+               ignore
+                 (Sched.spawn (Printf.sprintf "xfer%d" w) (fun () ->
+                      let rng = Rng.create ((seed * 3) + w) in
+                      for k = 1 to 15 do
+                        let a = Rng.int rng nshards in
+                        let b = (a + 1 + Rng.int rng (nshards - 1)) mod nshards in
+                        if Rng.bool rng then
+                          ignore (transfer sh ~thread:w ~a ~b ~stamp:((100 * w) + k) 1L)
+                        else ignore (bump sh ~thread:w a);
+                        Sched.advance (Rng.int rng 400)
+                      done;
+                      decr running))
+             done;
+             let prev = ref (Sh.effective_vector sh) in
+             while !running > 0 do
+               Sched.advance 150;
+               let cur = Sh.effective_vector sh in
+               Array.iteri
+                 (fun s c ->
+                   if c < !prev.(s) then
+                     QCheck2.Test.fail_reportf "shard %d: effective %d after %d" s c !prev.(s))
+                 cur;
+               incr samples;
+               prev := cur
+             done;
+             Sh.stop sh));
+      !samples > 0)
+
 let suite =
   [
     Alcotest.test_case "basic cross-shard commit" `Quick test_basic_commit;
@@ -251,4 +382,6 @@ let suite =
     Alcotest.test_case "undeclared shard rejected" `Quick test_undeclared_shard_rejected;
     Alcotest.test_case "crash all-or-nothing" `Slow test_crash_all_or_nothing;
     Alcotest.test_case "recover and continue" `Slow test_recover_and_continue;
+    QCheck_alcotest.to_alcotest prop_watermark_matches_fold;
+    QCheck_alcotest.to_alcotest prop_effective_vector_monotone;
   ]

@@ -179,6 +179,119 @@ let test_cycles_conversions () =
   check Alcotest.bool "1 GB/s is ~3.4 cycles per byte" true
     (abs_float (Cycles.per_byte_of_gbps 1.0 -. 3.4) < 0.01)
 
+(* Golden schedule: a seeded program of 16 fibers (12 workers, 3 children,
+   1 daemon) that advance by random (often tied) amounts, wait on shared
+   counters, spawn children and include a daemon.  Every resume is logged
+   as (thread id, clock).  The expected digests of that log and
+   [Sched.run]'s results were recorded with the two-pass pick that the
+   one-pass pick replaced, so any change to the pick order, the drag rule
+   for blocked waiters or the [Choice] decision-step count shows up here. *)
+let golden_run ~seed strategy =
+  let log = Buffer.create 4096 in
+  let note () = Printf.bprintf log "%d@%d;" (Sched.self ()) (Sched.now ()) in
+  let counters = Array.make 4 0 in
+  let finished = ref 0 in
+  let workers = 12 and rounds = 6 in
+  let child i () =
+    note ();
+    let rng = Rng.create ((seed * 7919) + i) in
+    for k = 1 to 3 do
+      Sched.advance (10 * Rng.int rng 3);
+      note ();
+      let c = (i + 1) mod 4 in
+      Sched.wait_until ~label:"golden child" (fun () -> counters.(c) >= k + 2);
+      note ()
+    done
+  in
+  (* A worker in round [r] has bumped its group's counter [r] times before
+     it waits for some counter to reach [r], so the lowest-round waiter can
+     always be released: the program never deadlocks. *)
+  let worker i () =
+    let rng = Rng.create ((seed * 1000) + i) in
+    note ();
+    for r = 1 to rounds do
+      Sched.advance (5 * Rng.int rng 4);
+      note ();
+      counters.(i mod 4) <- counters.(i mod 4) + 1;
+      if Rng.int rng 3 > 0 then begin
+        let j = Rng.int rng 4 in
+        Sched.wait_until ~label:"golden counter" (fun () -> counters.(j) >= r);
+        note ()
+      end;
+      if r = 3 && i mod 4 = 1 then begin
+        ignore (Sched.spawn (Printf.sprintf "child%d" i) (child i));
+        note ()
+      end
+    done;
+    incr finished
+  in
+  let total =
+    Sched.run ~strategy (fun () ->
+        ignore
+          (Sched.spawn ~daemon:true "watch" (fun () ->
+               let seen = ref 0 in
+               while true do
+                 Sched.wait_until ~label:"golden watch" (fun () -> counters.(0) > !seen);
+                 seen := counters.(0);
+                 note ();
+                 Sched.advance 7;
+                 note ()
+               done));
+        for i = 0 to workers - 1 do
+          ignore (Sched.spawn (Printf.sprintf "w%d" i) (worker i))
+        done;
+        Sched.wait_until ~label:"golden done" (fun () -> !finished = workers);
+        note ())
+  in
+  (total, Digest.to_hex (Digest.string (Buffer.contents log)))
+
+let golden_expected =
+  [
+    ("min_clock", 1, 75, "0d93379aacf1676f9498293623b147be");
+    ("min_clock", 2, 55, "0599cfac640f13bb7111a62dd69f84c6");
+    ("min_clock", 3, 75, "b0230ec4502271123f2127aba61cf87b");
+    ("random_priority", 1, 85, "d6c7920b5843c8f25dcecb68fc62095c");
+    ("random_priority", 2, 78, "e8b965f98458d4a0d9b151e66cd5d550");
+    ("random_priority", 3, 93, "0e04c0e9591aa19562fb2b352330697f");
+  ]
+
+let test_golden_schedule () =
+  List.iter
+    (fun (name, seed, total, digest) ->
+      let strategy =
+        if name = "min_clock" then Sched.min_clock else Sched.random_priority ~seed
+      in
+      let got_total, got_digest = golden_run ~seed strategy in
+      let what = Printf.sprintf "%s seed %d" name seed in
+      check Alcotest.int (what ^ ": run result") total got_total;
+      check Alcotest.string (what ^ ": resume log digest") digest got_digest)
+    golden_expected
+
+(* Min_clock's pick allocates nothing per thread: the minor words one
+   scheduling step costs do not grow with the number of blocked waiters
+   whose (non-allocating) predicates it polls. *)
+let test_pick_allocation_free () =
+  let words_per_step waiters =
+    let flag = ref false in
+    let w0 = ref 0.0 and w1 = ref 0.0 in
+    ignore
+      (Sched.run (fun () ->
+           for _ = 1 to waiters do
+             ignore
+               (Sched.spawn ~daemon:true "waiter" (fun () ->
+                    Sched.wait_until ~label:"flag" (fun () -> !flag)))
+           done;
+           Sched.advance 1;
+           w0 := Gc.minor_words ();
+           for _ = 1 to 10_000 do
+             Sched.advance 1
+           done;
+           w1 := Gc.minor_words ()));
+    (!w1 -. !w0) /. 10_000.
+  in
+  check (Alcotest.float 0.01) "words per step with 40 waiters" (words_per_step 0)
+    (words_per_step 40)
+
 let suite =
   [
     Alcotest.test_case "single thread accumulates time" `Quick test_single_thread_time;
@@ -189,6 +302,8 @@ let suite =
     Alcotest.test_case "spawn inherits parent clock" `Quick test_spawn_inherits_clock;
     Alcotest.test_case "thread exceptions propagate" `Quick test_exception_propagates;
     Alcotest.test_case "simulation is deterministic" `Quick test_determinism;
+    Alcotest.test_case "golden schedule" `Quick test_golden_schedule;
+    Alcotest.test_case "min-clock pick allocates nothing" `Quick test_pick_allocation_free;
     Alcotest.test_case "helpers degrade gracefully outside run" `Quick test_outside_run_fallbacks;
     Alcotest.test_case "rng int bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
