@@ -19,7 +19,7 @@ let profile ~bandwidth =
   let phases = Trace.phases () in
   let accts = Trace.nvm_accts () in
   let summary = Trace.summary_json ~total_cycles:r.run_cycles () in
-  let violations = Trace.validate () in
+  let violations = Trace.validate ~total_cycles:r.run_cycles () in
   Trace.disable ();
   (r, phases, accts, summary, violations)
 

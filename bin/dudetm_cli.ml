@@ -201,13 +201,13 @@ let trace_cmd =
           (fun a ->
             Printf.printf "  %-24s %12d %14d %9d %11.1f%%\n" a.Trace.nd_dev a.Trace.nd_bytes
               a.Trace.nd_cycles a.Trace.nd_ops
-              (100.0 *. float_of_int a.Trace.nd_cycles /. float_of_int (max 1 total_cycles)))
+              (100.0 *. float_of_int a.Trace.nd_busy /. float_of_int (max 1 total_cycles)))
           dev_accts
       end;
       Printf.printf "\n  trace: %d events (%d dropped), %d phases\n" (Trace.events ())
         (Trace.dropped ())
         (List.length (Trace.phases ()));
-      let violations = Trace.validate () in
+      let violations = Trace.validate ~total_cycles () in
       (match export with
       | `None -> ()
       | `Chrome ->

@@ -16,13 +16,9 @@ let extent_of_addr t addr = addr / t.extent
 
 let slot_off t i = t.base + (i * 8)
 
-let compute_latest t i =
-  let b = Nvm.load_bytes t.nvm (i * t.extent) t.extent in
-  Checksum.crc32_bytes b
+let compute_latest t i = Nvm.view_latest t.nvm (i * t.extent) t.extent Checksum.crc32
 
-let compute_persisted t i =
-  let b = Nvm.persisted_bytes t.nvm (i * t.extent) t.extent in
-  Checksum.crc32_bytes b
+let compute_persisted t i = Nvm.view_persisted t.nvm (i * t.extent) t.extent Checksum.crc32
 
 let stored_crc t i =
   Int64.to_int32 (Nvm.load_u64 t.nvm (slot_off t i))

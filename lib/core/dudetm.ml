@@ -138,6 +138,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     mutable draining : bool;
     mutable started : bool;
     stats : Stats.t;
+    log_entries : Stats.cell;  (* resolved once: bumped per logged write *)
   }
 
   (* A transaction body runs against either a full TM transaction or a
@@ -180,6 +181,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let applied_cell = ref tid_base in
     let view = make_view cfg nvm applied_cell in
     let tm = Tm.create ~costs:Tm_intf.default_costs ~seed:cfg.Config.seed (store_of_view view) in
+    let stats = Stats.create () in
     {
       cfg;
       nvm;
@@ -227,7 +229,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       stop_flag = false;
       draining = false;
       started = false;
-      stats = Stats.create ();
+      stats;
+      log_entries = Stats.counter stats "log_entries";
     }
 
   let create ?(nvm_label = "nvm") cfg =
@@ -1127,7 +1130,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     Trace.sample ~cat:"perform" "log_append" log_append_cost;
     Sched.advance log_append_cost;
     Vlog.append dtx.t.vlogs.(dtx.thread) (Log_entry.Write { addr; value });
-    Stats.incr dtx.t.stats "log_entries";
+    Stats.bump dtx.t.log_entries;
     Tm.write tm_tx addr value
 
   let abort dtx =

@@ -30,6 +30,10 @@ let set_u64 t addr v =
 
 let get_bytes t off len = Bytes.sub t off len
 
+let view t off len f =
+  if off < 0 || len < 0 || off + len > Bytes.length t then invalid_arg "Mem.view";
+  f t off len
+
 let set_bytes t off b = Bytes.blit b 0 t off (Bytes.length b)
 
 let blit ~src ~src_off ~dst ~dst_off ~len = Bytes.blit src src_off dst dst_off len

@@ -29,6 +29,11 @@ val set_u64 : t -> int -> int64 -> unit
 
 val get_bytes : t -> int -> int -> bytes
 
+val view : t -> int -> int -> (bytes -> int -> int -> 'a) -> 'a
+(** [view t off len f] is [f buf pos len] where [buf.[pos .. pos + len - 1]]
+    holds the range, read in place without a copy.  [f] must neither
+    mutate nor retain [buf]. *)
+
 val set_bytes : t -> int -> bytes -> unit
 
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit

@@ -227,6 +227,10 @@ let load_bytes t off len =
   check_poison_load t off len;
   Mem.get_bytes t.latest off len
 
+let view_latest t off len f =
+  check_poison_load t off len;
+  Mem.view t.latest off len f
+
 let store_bytes t off b =
   Mem.set_bytes t.latest off b;
   if Bytes.length b > 0 then mark_dirty t off (Bytes.length b)
@@ -256,16 +260,19 @@ let flush_line t l =
 let charge t bytes =
   t.persist_ops <- t.persist_ops + 1;
   if t.charge_time then begin
+    let busy0 = Resource.busy_cycles t.channel in
     let cost =
       Resource.transfer t.channel ~now:(Sched.now ()) ~bytes
         ~latency:t.cfg.Pmem_config.persist_latency
     in
     (* Every cycle the NVM channel ever costs anyone flows through here, so
-       this one call gives the per-thread "who pays for persistence" split. *)
-    Trace.nvm_transfer ~dev:t.label ~bytes ~cycles:cost;
+       this one call gives the per-thread "who pays for persistence" split;
+       the channel's occupied cycles give the device's busy time. *)
+    Trace.nvm_transfer ~dev:t.label ~bytes ~cycles:cost
+      ~busy:(Resource.busy_cycles t.channel - busy0);
     Sched.advance cost
   end
-  else Trace.nvm_transfer ~dev:t.label ~bytes ~cycles:0;
+  else Trace.nvm_transfer ~dev:t.label ~bytes ~cycles:0 ~busy:0;
   run_decay t
 
 let flush_range t ~off ~len =
@@ -322,6 +329,10 @@ let persisted_u64 t addr =
 let persisted_bytes t off len =
   check_poison_media t off len;
   Mem.get_bytes t.persisted off len
+
+let view_persisted t off len f =
+  check_poison_media t off len;
+  Mem.view t.persisted off len f
 
 let persisted_bytes_equal t off b =
   let len = Bytes.length b in

@@ -108,6 +108,10 @@ val store_u8 : t -> int -> int -> unit
 
 val load_bytes : t -> int -> int -> bytes
 
+val view_latest : t -> int -> int -> (bytes -> int -> int -> 'a) -> 'a
+(** [view_latest t off len f] reads the range like {!load_bytes}, poison
+    check included, but hands it to [f] in place ({!Mem.view}). *)
+
 val store_bytes : t -> int -> bytes -> unit
 
 (** {1 Persistence} *)
@@ -161,6 +165,9 @@ val persisted_u64 : t -> int -> int64
 val persisted_bytes : t -> int -> int -> bytes
 (** Read a persisted byte range (scrub and checksum audits).  Raises
     {!Media_error} if any covered line is poisoned. *)
+
+val view_persisted : t -> int -> int -> (bytes -> int -> int -> 'a) -> 'a
+(** {!persisted_bytes} handed to [f] in place ({!Mem.view}). *)
 
 val persisted_bytes_equal : t -> int -> bytes -> bool
 (** [persisted_bytes_equal t off b] checks the persisted image against [b]. *)

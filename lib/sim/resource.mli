@@ -31,3 +31,8 @@ val reset : t -> unit
 
 val total_bytes : t -> int
 (** Total bytes ever transferred through this channel. *)
+
+val busy_cycles : t -> int
+(** Cycles the channel has been occupied: the bandwidth component of every
+    transfer, never its latency.  Bookings never overlap, so over any run
+    this is at most the run's length. *)

@@ -31,22 +31,105 @@ type strategy =
   | Choice of (step:int -> candidates:int -> int)
 
 type sched = {
-  mutable threads : thread list;
-      (* in spawn order, so ids ascend; finished threads are dropped when
-         new ones are absorbed *)
+  mutable ready : thread array;
+      (* binary min-heap on (clock, id) of the Not_started and Paused
+         threads, in [ready.(0 .. nready - 1)].  A queued thread's clock
+         never changes: drag only moves blocked waiters. *)
+  mutable nready : int;
+  mutable waiters : thread array;
+      (* the Waiting threads, in id order: predicates are polled, and a
+         deadlock reports the blocked threads, in a fixed order *)
+  mutable nwaiters : int;
+  mutable polled : bool;
+      (* the waiters' [blocked] verdicts, [best_waiter] and
+         [runnable_waiters] are this step's: a no-switch [advance] polled
+         and then lost, so [pick] must not poll again *)
+  mutable best_waiter : int;  (* index of the least runnable waiter, or -1 *)
+  mutable runnable_waiters : int;
+  mutable cur : thread;  (* the thread being resumed; [nobody] on the scheduler's stack *)
   mutable rev_new : thread list;  (* threads spawned since last loop pass *)
   mutable next_id : int;
   mutable live_non_daemon : int;
   mutable watermark : int;
   mutable steps : int;  (* decision points (>= 2 runnable) so far *)
-  mutable runnable : int;  (* runnable threads found by the last [pick] scan *)
   strategy : strategy;
   trace : bool;
+  no_switch : bool;  (* [advance] may skip the context switch: Min_clock, no trace *)
 }
 
 (* The simulation is single-OS-thread by construction, so one global current
    scheduler is safe and keeps the public API free of a [t] parameter. *)
 let current : sched option ref = ref None
+
+(* Stand-in for "no thread": the empty slot of the heap and waiter arrays,
+   and [cur] while the scheduler's own code runs. *)
+let nobody =
+  { id = -1; name = "<none>"; daemon = true; clock = max_int; state = Finished; blocked = false }
+
+(* Whether a thread at [clock] with [id] runs before [u]: (clock, id) order. *)
+let before clock id u = clock < u.clock || (clock = u.clock && id < u.id)
+
+let earlier t u = before t.clock t.id u
+
+let grow a = Array.append a (Array.make (Array.length a) nobody)
+
+(* Ready heap.  [sift_up]/[sift_down] move the hole at [i] and place [t]. *)
+let rec sift_up h i t =
+  let p = (i - 1) / 2 in
+  if i > 0 && earlier t h.(p) then begin
+    h.(i) <- h.(p);
+    sift_up h p t
+  end
+  else h.(i) <- t
+
+let rec sift_down h n i t =
+  let l = (2 * i) + 1 in
+  if l >= n then h.(i) <- t
+  else
+    let c = if l + 1 < n && earlier h.(l + 1) h.(l) then l + 1 else l in
+    if earlier h.(c) t then begin
+      h.(i) <- h.(c);
+      sift_down h n c t
+    end
+    else h.(i) <- t
+
+let push_ready s t =
+  if s.nready = Array.length s.ready then s.ready <- grow s.ready;
+  s.nready <- s.nready + 1;
+  sift_up s.ready (s.nready - 1) t
+
+let take_ready s i =
+  let h = s.ready in
+  let t = h.(i) in
+  let n = s.nready - 1 in
+  s.nready <- n;
+  let last = h.(n) in
+  h.(n) <- nobody;
+  if i < n then begin
+    sift_down h n i last;
+    if h.(i) == last then sift_up h i last
+  end;
+  t
+
+let add_waiter s t =
+  if s.nwaiters = Array.length s.waiters then s.waiters <- grow s.waiters;
+  let w = s.waiters in
+  let i = ref s.nwaiters in
+  while !i > 0 && w.(!i - 1).id > t.id do
+    w.(!i) <- w.(!i - 1);
+    decr i
+  done;
+  w.(!i) <- t;
+  s.nwaiters <- s.nwaiters + 1
+
+let take_waiter s i =
+  let w = s.waiters in
+  let t = w.(i) in
+  let n = s.nwaiters - 1 in
+  Array.blit w (i + 1) w i (n - i);
+  w.(n) <- nobody;
+  s.nwaiters <- n;
+  t
 
 (* [finish] runs on the scheduler's own stack (retc/exnc/kill_daemons), where
    the Now/Self effects are unhandled — trace events here must carry the
@@ -78,12 +161,16 @@ let handler s t =
           Some
             (fun (k : (a, unit) continuation) ->
               t.clock <- t.clock + max 0 n;
-              t.state <- Paused k)
+              t.state <- Paused k;
+              push_ready s t)
         | Wait (pred, label) ->
           Some
             (fun k ->
               if pred () then continue k ()
-              else t.state <- Waiting { pred; label; k })
+              else begin
+                t.state <- Waiting { pred; label; k };
+                add_waiter s t
+              end)
         | Spawn (daemon, name, f) ->
           Some
             (fun k ->
@@ -104,85 +191,86 @@ let handler s t =
 
 let absorb_new s =
   if s.rev_new <> [] then begin
-    s.threads <-
-      List.filter (fun t -> match t.state with Finished -> false | _ -> true) s.threads
-      @ List.rev s.rev_new;
+    List.iter (push_ready s) s.rev_new;
     s.rev_new <- []
   end
 
-(* Stand-in for "no thread", so that [pick] returns without allocating an
-   option. *)
-let nobody =
-  { id = -1; name = "<none>"; daemon = true; clock = max_int; state = Finished; blocked = false }
-
-(* Runnable as of this step's verdicts: [scan] refreshes [blocked] first. *)
-let is_runnable t =
-  match t.state with
-  | Not_started _ | Paused _ -> true
-  | Waiting _ -> not t.blocked
-  | Running | Finished -> false
-
-(* The one pass of [pick]: evaluate each waiting thread's predicate exactly
-   once, caching the verdict in [blocked], count the runnable threads and
-   return the runnable one with the smallest (clock, id).  The list is in
-   id order, so a strict [<] keeps the smallest id on a clock tie.
-   Top-level and tail-recursive so the Min_clock path allocates nothing. *)
-let rec scan s best = function
-  | [] -> best
-  | t :: rest ->
+(* Evaluate each waiter's predicate exactly once, caching the verdict in
+   [blocked], and note the least runnable waiter and how many are
+   runnable.  Allocates nothing. *)
+let poll s =
+  let best = ref (-1) and runnable = ref 0 in
+  for i = 0 to s.nwaiters - 1 do
+    let t = s.waiters.(i) in
     (match t.state with Waiting { pred; _ } -> t.blocked <- not (pred ()) | _ -> ());
-    if is_runnable t then begin
-      s.runnable <- s.runnable + 1;
-      scan s (if best == nobody || t.clock < best.clock then t else best) rest
+    if not t.blocked then begin
+      incr runnable;
+      if !best < 0 || earlier t s.waiters.(!best) then best := i
     end
-    else scan s best rest
+  done;
+  s.best_waiter <- !best;
+  s.runnable_waiters <- !runnable;
+  s.polled <- true
 
-(* A blocked thread has its clock dragged up to the winning clock,
+(* A blocked waiter has its clock dragged up to the winning clock,
    modelling time passing while it polls. *)
-let rec drag_blocked clock = function
-  | [] -> ()
-  | t :: rest ->
-    if t.blocked && t.clock < clock then t.clock <- clock;
-    drag_blocked clock rest
+let drag s clock =
+  for i = 0 to s.nwaiters - 1 do
+    let t = s.waiters.(i) in
+    if t.blocked && t.clock < clock then t.clock <- clock
+  done
+
+(* Dequeue the runnable thread with the least (clock, id), or [nobody]. *)
+let take_min s =
+  let bw = s.best_waiter in
+  if bw >= 0 && (s.nready = 0 || earlier s.waiters.(bw) s.ready.(0)) then take_waiter s bw
+  else if s.nready > 0 then take_ready s 0
+  else nobody
+
+let rec index_of a t i = if a.(i) == t then i else index_of a t (i + 1)
 
 (* The candidate a Choice strategy picks at a decision point, from the
-   verdicts [scan] cached: the runnable threads in (clock, id) order. *)
-let choose_candidate s choose best =
+   verdicts [poll] cached: the runnable threads in (clock, id) order. *)
+let choose_candidate s choose n =
   let step = s.steps in
   s.steps <- step + 1;
-  let n = s.runnable in
   let i = choose ~step ~candidates:n in
-  if i <= 0 || i >= n then best
+  if i <= 0 || i >= n then take_min s
   else
-    let sorted =
-      List.sort
-        (fun a b -> compare (a.clock, a.id) (b.clock, b.id))
-        (List.filter is_runnable s.threads)
-    in
-    List.nth sorted i
+    let runnable = ref (Array.to_list (Array.sub s.ready 0 s.nready)) in
+    for j = 0 to s.nwaiters - 1 do
+      if not s.waiters.(j).blocked then runnable := s.waiters.(j) :: !runnable
+    done;
+    let t = List.nth (List.sort (fun a b -> compare (a.clock, a.id) (b.clock, b.id)) !runnable) i in
+    match t.state with
+    | Waiting _ -> take_waiter s (index_of s.waiters t 0)
+    | _ -> take_ready s (index_of s.ready t 0)
 
 (* Pick the next thread to resume, or [nobody].  Min_clock takes the
    runnable thread with the smallest (clock, id) — conservative
-   discrete-event order.  A Choice strategy is consulted at every decision
+   discrete-event order — from the top of the ready heap or the least
+   runnable waiter.  A Choice strategy is consulted at every decision
    point (>= 2 runnable threads) with the candidates in that same order, so
    index 0 degenerates to Min_clock and any other index is a legal
    preemption. *)
 let pick s =
-  s.runnable <- 0;
-  let best = scan s nobody s.threads in
+  if not s.polled then poll s;
+  s.polled <- false;
+  let n = s.nready + s.runnable_waiters in
   let w =
     match s.strategy with
-    | Choice choose when s.runnable >= 2 -> choose_candidate s choose best
-    | Min_clock | Choice _ -> best
+    | Choice choose when n >= 2 -> choose_candidate s choose n
+    | Min_clock | Choice _ -> take_min s
   in
-  if w != nobody then drag_blocked w.clock s.threads;
+  if w != nobody then drag s w.clock;
   w
 
 let resume s t =
   if t.clock > s.watermark then s.watermark <- t.clock;
   if s.trace then
     Printf.eprintf "[sched %10d] resume %d:%s\n%!" t.clock t.id t.name;
-  match t.state with
+  s.cur <- t;
+  (match t.state with
   | Not_started f ->
     t.state <- Running;
     Effect.Deep.match_with f () (handler s t)
@@ -192,10 +280,12 @@ let resume s t =
   | Waiting { k; _ } ->
     t.state <- Running;
     Effect.Deep.continue k ()
-  | Running | Finished -> assert false
+  | Running | Finished -> assert false);
+  s.cur <- nobody
 
 let blocked_report s =
-  s.threads
+  Array.sub s.waiters 0 s.nwaiters
+  |> Array.to_list
   |> List.filter_map (fun t ->
          match t.state with
          | Waiting { label; _ } ->
@@ -203,17 +293,19 @@ let blocked_report s =
          | _ -> None)
   |> String.concat "; "
 
+(* Cancel every unfinished thread, in id order. *)
 let kill_daemons s =
-  List.iter
-    (fun t ->
-      match t.state with
-      | Not_started _ -> finish s t
-      | Paused k | Waiting { k; _ } ->
-        t.state <- Running;
-        (try Effect.Deep.discontinue k Killed with Killed -> ());
-        finish s t
-      | Running | Finished -> ())
-    s.threads
+  Array.append (Array.sub s.ready 0 s.nready) (Array.sub s.waiters 0 s.nwaiters)
+  |> Array.to_list
+  |> List.sort (fun a b -> compare a.id b.id)
+  |> List.iter (fun t ->
+         match t.state with
+         | Not_started _ -> finish s t
+         | Paused k | Waiting { k; _ } ->
+           t.state <- Running;
+           (try Effect.Deep.discontinue k Killed with Killed -> ());
+           finish s t
+         | Running | Finished -> ())
 
 let min_clock = Min_clock
 
@@ -229,22 +321,27 @@ let run ?(trace = false) ?(strategy = Min_clock) main =
   if !current <> None then invalid_arg "Sched.run: nested simulations are not supported";
   let s =
     {
-      threads = [];
+      ready = Array.make 64 nobody;
+      nready = 0;
+      waiters = Array.make 16 nobody;
+      nwaiters = 0;
+      polled = false;
+      best_waiter = -1;
+      runnable_waiters = 0;
+      cur = nobody;
       rev_new = [];
       next_id = 1;
       live_non_daemon = 1;
       watermark = 0;
       steps = 0;
-      runnable = 0;
       strategy;
       trace;
+      no_switch = strategy = Min_clock && not trace;
     }
   in
-  let t0 =
+  push_ready s
     { id = 0; name = "main"; daemon = false; clock = 0; state = Not_started main;
-      blocked = false }
-  in
-  s.threads <- [ t0 ];
+      blocked = false };
   current := Some s;
   let release () = current := None in
   (try
@@ -268,7 +365,29 @@ let run ?(trace = false) ?(strategy = Min_clock) main =
 let perform_default : 'a. 'a Effect.t -> 'a -> 'a =
  fun eff default -> try Effect.perform eff with Effect.Unhandled _ -> default
 
-let advance n = perform_default (Advance n) ()
+(* The no-switch path: the running thread, charged [n], would win the
+   next step anyway — it beats the top of the ready heap and, polled once,
+   every runnable waiter — so do that step's drag and watermark in place
+   and keep running.  A just-spawned child may win, so spawns since the
+   last switch take the effect path; so does a loss, whose poll [pick]
+   then reuses.  Predicates run before the watermark rises, as in [pick]. *)
+let advance n =
+  match !current with
+  | Some s when s.no_switch && s.cur != nobody && s.rev_new == [] ->
+    let t = s.cur in
+    let c = t.clock + max 0 n in
+    if s.nready = 0 || before c t.id s.ready.(0) then begin
+      poll s;
+      if s.best_waiter < 0 || before c t.id s.waiters.(s.best_waiter) then begin
+        s.polled <- false;
+        t.clock <- c;
+        drag s c;
+        if c > s.watermark then s.watermark <- c
+      end
+      else Effect.perform (Advance n)
+    end
+    else Effect.perform (Advance n)
+  | _ -> perform_default (Advance n) ()
 
 let yield () = advance 1
 

@@ -11,7 +11,12 @@
     {!wait_until}.  A thread is charged simulated time explicitly via
     {!advance}; while blocked, its clock tracks global simulated time so
     waiting is charged as busy-polling, which is how the paper's
-    implementation waits too. *)
+    implementation waits too.
+
+    One scheduling step costs O(waiters + log ready threads), not O(all
+    threads): paused and not-yet-started threads wait in a min-heap on
+    [(clock, id)], and only the threads blocked in {!wait_until} are polled
+    at every step. *)
 
 exception Deadlock of string
 (** Raised when no thread can make progress: every live non-daemon thread is
@@ -64,9 +69,14 @@ exception Killed
     loops may catch it to run cleanup; it is absorbed by the scheduler. *)
 
 val advance : int -> unit
-(** [advance n] charges the calling thread [n] cycles and yields to the
-    scheduler.  Outside {!run} it is a no-op, so cost-annotated library code
-    can also be exercised by plain unit tests. *)
+(** [advance n] charges the calling thread [n] cycles and is a scheduling
+    point: every other thread that would run first, runs first.  Under
+    {!Min_clock} without [trace], when the caller would win that step
+    anyway it returns without a context switch, having done the step's
+    work in place (polling the waiters, dragging the blocked ones, raising
+    {!global_now}); the schedule is the same either way.  Outside {!run}
+    it is a no-op, so cost-annotated library code can also be exercised by
+    plain unit tests. *)
 
 val yield : unit -> unit
 (** [yield ()] is [advance 1]: the minimal preemption point. *)
@@ -80,7 +90,10 @@ val wait_until : ?label:string -> (unit -> bool) -> unit
     The scheduler evaluates [p] at most once per scheduling step, and an
     unspecified number of times overall: every step re-polls every blocked
     thread, so predicates are the simulator's hottest host code.  Besides
-    being pure, [p] should neither allocate nor scan unbounded state.  The
+    being pure, [p] should neither allocate nor scan unbounded state.  [p]
+    must not call {!now}, {!self}, {!advance} or {!spawn}: it runs on the
+    scheduler's stack or inside whichever thread is advancing, so those
+    would answer for, or act on, the wrong thread.  The
     known scans are the serving session's ["serve window"] and
     ["serve tail"] waits (over the session's descriptor slots) and the
     shard replay gate's [Dudetm_shard.Frontier.is_durable_upto] (over the

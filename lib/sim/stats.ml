@@ -1,25 +1,41 @@
-type t = (string, int ref) Hashtbl.t
+(* [live] marks a cell bumped since creation or the last [reset]: only
+   those are listed, so a counter resolved up front but never bumped stays
+   absent, as if it had never been named. *)
+type cell = { mutable v : int; mutable live : bool }
+
+type t = (string, cell) Hashtbl.t
 
 let create () : t = Hashtbl.create 16
 
-let cell t name =
+let counter t name =
   match Hashtbl.find_opt t name with
-  | Some r -> r
+  | Some c -> c
   | None ->
-    let r = ref 0 in
-    Hashtbl.add t name r;
-    r
+    let c = { v = 0; live = false } in
+    Hashtbl.add t name c;
+    c
 
-let add t name n = cell t name := !(cell t name) + n
+let bump_by c n =
+  c.v <- c.v + n;
+  c.live <- true
+
+let bump c = bump_by c 1
+
+let add t name n = bump_by (counter t name) n
 
 let incr t name = add t name 1
 
-let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
+let get t name = match Hashtbl.find_opt t name with Some c -> c.v | None -> 0
 
-let reset t = Hashtbl.reset t
+let reset t =
+  Hashtbl.iter
+    (fun _ c ->
+      c.v <- 0;
+      c.live <- false)
+    t
 
 let to_list t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
+  Hashtbl.fold (fun k c acc -> if c.live then (k, c.v) :: acc else acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 module Latency = struct

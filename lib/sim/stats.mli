@@ -12,6 +12,17 @@ val get : t -> string -> int
 (** 0 for counters never touched. *)
 
 val reset : t -> unit
+(** Zero every counter.  Cells resolved by {!counter} stay valid. *)
+
+type cell
+(** One counter, resolved once so a hot path bumps it without a lookup. *)
+
+val counter : t -> string -> cell
+(** [counter t name] resolves [name]'s cell.  A resolved counter that is
+    never bumped stays absent from {!to_list}. *)
+
+val bump : cell -> unit
+(** Add 1, like {!incr} on the counter's name. *)
 
 val to_list : t -> (string * int) list
 (** Counters sorted by name. *)

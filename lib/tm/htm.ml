@@ -34,11 +34,14 @@ and t = {
   running : (int, tx) Hashtbl.t;  (* uid -> active hardware txs *)
   mutable lock_owner : int;  (* 0 = fallback lock free *)
   stats : Stats.t;
+  reads_c : Stats.cell;  (* "reads" and "writes", resolved once *)
+  writes_c : Stats.cell;
   rng : Rng.t;
 }
 
 let create_htm ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(capacity_lines = 448)
     ?(read_capacity_lines = 8192) ?(max_retries = 5) ?(tid_conflicts = false) store =
+  let stats = Stats.create () in
   {
     store;
     costs;
@@ -50,7 +53,9 @@ let create_htm ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(capacity_lines = 
     next_uid = 1;
     running = Hashtbl.create 16;
     lock_owner = 0;
-    stats = Stats.create ();
+    stats;
+    reads_c = Stats.counter stats "reads";
+    writes_c = Stats.counter stats "writes";
     rng = Rng.create seed;
   }
 
@@ -116,7 +121,7 @@ let read tx addr =
   else begin
     Sched.advance (hw_read_cost tx.tm.costs);
     check_doomed tx;
-    Stats.incr tx.tm.stats "reads";
+    Stats.bump tx.tm.reads_c;
     let line = line_of_addr addr in
     if not (Hashtbl.mem tx.reads line) then begin
       Hashtbl.add tx.reads line ();
@@ -138,7 +143,7 @@ let write tx addr value =
   end
   else begin
     check_doomed tx;
-    Stats.incr tx.tm.stats "writes";
+    Stats.bump tx.tm.writes_c;
     let line = line_of_addr addr in
     if not (Hashtbl.mem tx.wlines line) then begin
       Hashtbl.add tx.wlines line ();

@@ -41,6 +41,7 @@ type ro = {
   mutable epoch : int;
   mutable reads : (int * int) list;  (* (stripe, observed version) *)
   mutable active : bool;
+  reads_c : Stats.cell;  (* "snapshot_reads", resolved once per snapshot *)
 }
 
 let begin_ro ?pin ?(validate_extension = true) h =
@@ -52,7 +53,15 @@ let begin_ro ?pin ?(validate_extension = true) h =
   in
   Trace.instant ~cat:"snapshot" "begin" epoch;
   Stats.incr h.h_stats "snapshot_begins";
-  { h; pin; validate_ext = validate_extension; epoch; reads = []; active = true }
+  {
+    h;
+    pin;
+    validate_ext = validate_extension;
+    epoch;
+    reads = [];
+    active = true;
+    reads_c = Stats.counter h.h_stats "snapshot_reads";
+  }
 
 let epoch ro = ro.epoch
 
@@ -101,7 +110,7 @@ let extend ro ~need =
 let read ro addr =
   if not ro.active then invalid_arg "Snapshot.read: snapshot not active";
   Sched.advance ro.h.h_costs.Tm_intf.read_cost;
-  Stats.incr ro.h.h_stats "snapshot_reads";
+  Stats.bump ro.reads_c;
   Trace.sample ~cat:"snapshot" "read" ro.h.h_costs.Tm_intf.read_cost;
   let stripe = Lock_table.stripe_of_addr ro.h.h_locks addr in
   let rec go () =

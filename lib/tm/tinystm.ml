@@ -12,6 +12,8 @@ type t = {
   mutable clock : int;
   mutable next_uid : int;
   stats : Stats.t;
+  reads_c : Stats.cell;  (* "reads" and "writes", resolved once *)
+  writes_c : Stats.cell;
   rng : Rng.t;
 }
 
@@ -28,13 +30,16 @@ type tx = {
 }
 
 let create_with_bits ?(costs = Tm_intf.default_costs) ?(seed = 42) ~bits store =
+  let stats = Stats.create () in
   {
     store;
     locks = Lock_table.create ~bits ();
     costs;
     clock = 0;
     next_uid = 1;
-    stats = Stats.create ();
+    stats;
+    reads_c = Stats.counter stats "reads";
+    writes_c = Stats.counter stats "writes";
     rng = Rng.create seed;
   }
 
@@ -90,7 +95,7 @@ let validate tx =
 let read tx addr =
   if not tx.active then invalid_arg "Tinystm.read: transaction not active";
   Sched.advance tx.tm.costs.Tm_intf.read_cost;
-  Stats.incr tx.tm.stats "reads";
+  Stats.bump tx.tm.reads_c;
   let stripe = Lock_table.stripe_of_addr tx.tm.locks addr in
   match Lock_table.read_word tx.tm.locks stripe with
   | Lock_table.Owned uid when uid = tx.uid -> tx.tm.store.Tm_intf.load addr
@@ -108,7 +113,7 @@ let read tx addr =
 let write tx addr value =
   if not tx.active then invalid_arg "Tinystm.write: transaction not active";
   Sched.advance tx.tm.costs.Tm_intf.write_cost;
-  Stats.incr tx.tm.stats "writes";
+  Stats.bump tx.tm.writes_c;
   let stripe = Lock_table.stripe_of_addr tx.tm.locks addr in
   (match Lock_table.read_word tx.tm.locks stripe with
   | Lock_table.Owned uid when uid = tx.uid -> ()

@@ -13,6 +13,8 @@ type t = {
   mutable clock : int;
   mutable next_uid : int;
   stats : Stats.t;
+  reads_c : Stats.cell;  (* "reads" and "writes", resolved once *)
+  writes_c : Stats.cell;
   rng : Rng.t;
 }
 
@@ -27,6 +29,7 @@ type tx = {
 }
 
 let create_wb ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(redirect_cost = 18) store =
+  let stats = Stats.create () in
   {
     store;
     locks = Lock_table.create ();
@@ -34,7 +37,9 @@ let create_wb ?(costs = Tm_intf.default_costs) ?(seed = 42) ?(redirect_cost = 18
     redirect_cost;
     clock = 0;
     next_uid = 1;
-    stats = Stats.create ();
+    stats;
+    reads_c = Stats.counter stats "reads";
+    writes_c = Stats.counter stats "writes";
     rng = Rng.create seed;
   }
 
@@ -66,7 +71,7 @@ let validate tx =
 let read tx addr =
   if not tx.active then invalid_arg "Tinystm_wb.read: transaction not active";
   Sched.advance (tx.tm.costs.Tm_intf.read_cost + tx.tm.redirect_cost);
-  Stats.incr tx.tm.stats "reads";
+  Stats.bump tx.tm.reads_c;
   (* Update redirection: write-back access must probe the write set on
      every read. *)
   match Hashtbl.find_opt tx.wbuf addr with
@@ -85,7 +90,7 @@ let read tx addr =
 let write tx addr value =
   if not tx.active then invalid_arg "Tinystm_wb.write: transaction not active";
   Sched.advance tx.tm.costs.Tm_intf.write_cost;
-  Stats.incr tx.tm.stats "writes";
+  Stats.bump tx.tm.writes_c;
   if not (Hashtbl.mem tx.wbuf addr) then tx.worder <- addr :: tx.worder;
   Hashtbl.replace tx.wbuf addr value
 

@@ -31,6 +31,7 @@ type nvm_cell = {
   mutable c_bytes : int;
   mutable c_cycles : int;
   mutable c_ops : int;
+  mutable c_busy : int;  (* devices only: channel-occupied cycles *)
 }
 
 type state = {
@@ -235,7 +236,7 @@ let counter ~cat name v =
 let sample ~cat name cycles =
   if st.on then record_sample (cat ^ "." ^ name) cycles
 
-let nvm_transfer ~dev ~bytes ~cycles =
+let nvm_transfer ~dev ~bytes ~cycles ~busy =
   if st.on then begin
     let ts = !now_fn () in
     let tid = self_noted () in
@@ -243,7 +244,7 @@ let nvm_transfer ~dev ~bytes ~cycles =
       match Hashtbl.find_opt st.nvm tid with
       | Some c -> c
       | None ->
-        let c = { c_bytes = 0; c_cycles = 0; c_ops = 0 } in
+        let c = { c_bytes = 0; c_cycles = 0; c_ops = 0; c_busy = 0 } in
         Hashtbl.add st.nvm tid c;
         c
     in
@@ -254,13 +255,14 @@ let nvm_transfer ~dev ~bytes ~cycles =
       match Hashtbl.find_opt st.nvm_dev dev with
       | Some c -> c
       | None ->
-        let c = { c_bytes = 0; c_cycles = 0; c_ops = 0 } in
+        let c = { c_bytes = 0; c_cycles = 0; c_ops = 0; c_busy = 0 } in
         Hashtbl.add st.nvm_dev dev c;
         c
     in
     dcell.c_bytes <- dcell.c_bytes + bytes;
     dcell.c_cycles <- dcell.c_cycles + cycles;
     dcell.c_ops <- dcell.c_ops + 1;
+    dcell.c_busy <- dcell.c_busy + busy;
     emit ~ts ~tid ~kind:Ev_instant ~cat:"nvm" ~name:"persist" ~arg:bytes
   end
 
@@ -275,7 +277,7 @@ let link_transfer ~link ~bytes ~cycles =
       match Hashtbl.find_opt st.links link with
       | Some c -> c
       | None ->
-        let c = { c_bytes = 0; c_cycles = 0; c_ops = 0 } in
+        let c = { c_bytes = 0; c_cycles = 0; c_ops = 0; c_busy = 0 } in
         Hashtbl.add st.links link c;
         c
     in
@@ -364,12 +366,15 @@ type nvm_dev_acct = {
   nd_bytes : int;
   nd_cycles : int;
   nd_ops : int;
+  nd_busy : int;
 }
 
 let nvm_dev_accts () =
   Hashtbl.fold
     (fun dev c acc ->
-      { nd_dev = dev; nd_bytes = c.c_bytes; nd_cycles = c.c_cycles; nd_ops = c.c_ops } :: acc)
+      { nd_dev = dev; nd_bytes = c.c_bytes; nd_cycles = c.c_cycles; nd_ops = c.c_ops;
+        nd_busy = c.c_busy }
+      :: acc)
     st.nvm_dev []
   |> List.sort (fun a b -> compare (b.nd_bytes, a.nd_dev) (a.nd_bytes, b.nd_dev))
 
@@ -448,9 +453,19 @@ let dropped () = max 0 (st.cursor - Array.length st.ring)
 let open_span_count () =
   Hashtbl.fold (fun _ s acc -> acc + List.length !s) st.stacks 0
 
-let validate () =
+let utilization ~total cycles = float_of_int cycles /. float_of_int total
+
+let validate ?total_cycles () =
   let out = ref [] in
   let addf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  (match total_cycles with
+  | Some total when total > 0 ->
+    List.iter
+      (fun a ->
+        if a.nd_busy > total then
+          addf "device %s utilization %.4f > 1" a.nd_dev (utilization ~total a.nd_busy))
+      (nvm_dev_accts ())
+  | _ -> ());
   if st.orphans > 0 then addf "%d orphan span end(s)" st.orphans;
   if st.mismatched > 0 then addf "%d mismatched span end(s)" st.mismatched;
   if st.nonmono > 0 then addf "%d non-monotone timestamp(s)" st.nonmono;
@@ -549,7 +564,8 @@ let summary_json ?total_cycles () =
       sep ();
       let util =
         match total_cycles with
-        | Some t when t > 0 -> Printf.sprintf ",\"utilization\":%.4f" (float_of_int a.nv_cycles /. float_of_int t)
+        | Some total when total > 0 ->
+          Printf.sprintf ",\"utilization\":%.4f" (utilization ~total a.nv_cycles)
         | _ -> ""
       in
       Buffer.add_string b
@@ -563,8 +579,8 @@ let summary_json ?total_cycles () =
       sep ();
       let util =
         match total_cycles with
-        | Some t when t > 0 ->
-          Printf.sprintf ",\"utilization\":%.4f" (float_of_int a.nd_cycles /. float_of_int t)
+        | Some total when total > 0 ->
+          Printf.sprintf ",\"utilization\":%.4f" (utilization ~total a.nd_busy)
         | _ -> ""
       in
       Buffer.add_string b
@@ -599,6 +615,6 @@ let summary_json ?total_cycles () =
     (fun v ->
       sep ();
       Buffer.add_string b (Printf.sprintf "\"%s\"" (json_escape v)))
-    (validate ());
+    (validate ?total_cycles ());
   Buffer.add_string b "]\n}\n";
   Buffer.contents b

@@ -84,10 +84,12 @@ val sample : cat:string -> string -> int -> unit
     attribution for events too hot to buffer individually (per-write log
     appends). *)
 
-val nvm_transfer : dev:string -> bytes:int -> cycles:int -> unit
-(** Attribute one NVM persist ordering ([bytes] flushed, [cycles] of
-    channel occupancy) to the current thread {e and} to device [dev], and
-    emit an instant under category ["nvm"].  Called by the device at every
+val nvm_transfer : dev:string -> bytes:int -> cycles:int -> busy:int -> unit
+(** Attribute one NVM persist ordering ([bytes] flushed, [cycles] the
+    issuing thread pays for it, latency included) to the current thread
+    {e and} to device [dev], add [busy] cycles of channel occupancy (the
+    bandwidth component only) to the device's busy time, and emit an
+    instant under category ["nvm"].  Called by the device at every
     charge; the per-thread breakdown is the paper's "who pays for
     persistence" lens, the per-device one shows how sharding spreads the
     traffic across independent NVM channels.  [dev] is a plain (non-option)
@@ -145,8 +147,9 @@ val nvm_accts : unit -> nvm_acct list
 type nvm_dev_acct = {
   nd_dev : string;  (** device label (see {!Dudetm_nvm.Nvm.create}) *)
   nd_bytes : int;
-  nd_cycles : int;
+  nd_cycles : int;  (** cycles charged to issuers, latency included *)
   nd_ops : int;
+  nd_busy : int;  (** channel-occupied cycles: the device's busy time *)
 }
 
 val nvm_dev_accts : unit -> nvm_dev_acct list
@@ -187,10 +190,12 @@ val dropped : unit -> int
 
 (** {1 Self-validation} *)
 
-val validate : unit -> string list
+val validate : ?total_cycles:int -> unit -> string list
 (** Check the collected trace's structural invariants: no orphan or
     mismatched span closes, per-thread cycle-monotone timestamps, and no
-    span left open.  Returns human-readable violations ([[]] = clean). *)
+    span left open.  Given the run's wall-cycle count [total_cycles], also
+    that no NVM device's busy time exceeds it (device utilization <= 1).
+    Returns human-readable violations ([[]] = clean). *)
 
 val open_span_count : unit -> int
 (** Spans currently open across all threads (0 after a balanced run). *)
@@ -205,7 +210,8 @@ val to_chrome_json : ?cycles_per_us:float -> unit -> string
 
 val summary_json : ?total_cycles:int -> unit -> string
 (** Machine-readable profile summary: per-phase count/total/max/p50/p99,
-    per-thread NVM bytes/cycles/ops (with channel utilization when
-    [total_cycles], the run's wall-cycle count, is given), ring-occupancy
+    per-thread and per-device NVM bytes/cycles/ops (with utilization when
+    [total_cycles], the run's wall-cycle count, is given: a thread's
+    cycles, or a device's busy time, over [total_cycles]), ring-occupancy
     series (category ["plog"], counter ["used"]), event/drop counts and
     validation status. *)

@@ -150,6 +150,11 @@ let test_poison_raises_and_rewrite_repairs () =
       ignore (Nvm.load_u64 d 0));
   Alcotest.check_raises "persisted read raises" (Nvm.Media_error 0) (fun () ->
       ignore (Nvm.persisted_u64 d 0));
+  let first_byte b off _ = Bytes.get b off in
+  Alcotest.check_raises "in-place clean-line view raises" (Nvm.Media_error 0) (fun () ->
+      ignore (Nvm.view_latest d 0 64 first_byte));
+  Alcotest.check_raises "in-place persisted view raises" (Nvm.Media_error 0) (fun () ->
+      ignore (Nvm.view_persisted d 0 64 first_byte));
   (* Rewriting fresh data over the line clears the poison. *)
   Nvm.store_u64 d 0 9L;
   Nvm.persist d ~off:0 ~len:8;

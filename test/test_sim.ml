@@ -163,6 +163,27 @@ let test_stats_counters () =
   Stats.reset s;
   check Alcotest.int "reset clears" 0 (Stats.get s "a")
 
+(* A counter resolved up front reads exactly like one bumped by name: it is
+   absent until bumped, and it survives [reset]. *)
+let test_stats_resolved_counters () =
+  let s = Stats.create () in
+  let hot = Stats.counter s "hot" and cold = Stats.counter s "cold" in
+  Stats.incr s "named";
+  check Alcotest.(list (pair string int)) "a resolved, unbumped counter is absent"
+    [ ("named", 1) ] (Stats.to_list s);
+  check Alcotest.int "and reads 0" 0 (Stats.get s "cold");
+  Stats.bump hot;
+  Stats.bump hot;
+  Stats.add s "hot" 3;
+  check Alcotest.int "bump and add share the cell" 5 (Stats.get s "hot");
+  Stats.reset s;
+  check Alcotest.(list (pair string int)) "reset empties the listing" [] (Stats.to_list s);
+  Stats.bump hot;
+  Stats.bump cold;
+  Stats.add s "cold" 2;
+  check Alcotest.(list (pair string int)) "cells stay valid after reset"
+    [ ("cold", 3); ("hot", 1) ] (Stats.to_list s)
+
 let test_latency_percentiles () =
   let r = Stats.Latency.create () in
   for i = 1 to 100 do
@@ -267,6 +288,191 @@ let test_golden_schedule () =
       check Alcotest.string (what ^ ": resume log digest") digest got_digest)
     golden_expected
 
+(* Golden schedule at serving scale: a seeded program shaped like the
+   serving stack, with 100 fibers that mostly advance (often by tied
+   amounts) and bump shared counters, 20 fibers that wait on those
+   counters, one daemon and main — 122 threads in all.  Most threads sit
+   paused at any step, with about 20 polling, which is the mix the
+   scheduler's ready heap and waiter set are built for.  The digests were
+   recorded with the one-pass all-threads pick that the heap replaced. *)
+let serving_run ~seed strategy =
+  let log = Buffer.create 65536 in
+  let note () = Printf.bprintf log "%d@%d;" (Sched.self ()) (Sched.now ()) in
+  let counters = Array.make 8 0 in
+  let finished = ref 0 in
+  let workers = 100 and waiters = 20 and rounds = 12 in
+  (* Worker [i] bumps counter [i mod 8] once per round, so every counter
+     reaches at least [12 * rounds]: each waiter's last threshold is
+     reached and the program never deadlocks. *)
+  let worker i () =
+    let rng = Rng.create ((seed * 4099) + i) in
+    for _ = 1 to rounds do
+      Sched.advance (10 * Rng.int rng 4);
+      counters.(i mod 8) <- counters.(i mod 8) + 1;
+      if Rng.int rng 4 = 0 then note ()
+    done;
+    incr finished
+  in
+  let waiter i () =
+    let rng = Rng.create ((seed * 6151) + i) in
+    for k = 1 to 6 do
+      let j = Rng.int rng 8 in
+      Sched.wait_until ~label:"serving counter" (fun () -> counters.(j) >= 24 * k);
+      note ();
+      Sched.advance (Rng.int rng 3);
+      note ()
+    done;
+    incr finished
+  in
+  let total =
+    Sched.run ~strategy (fun () ->
+        ignore
+          (Sched.spawn ~daemon:true "acker" (fun () ->
+               let seen = ref 0 in
+               while true do
+                 Sched.wait_until ~label:"serving acker" (fun () -> counters.(3) > !seen + 8);
+                 seen := counters.(3);
+                 note ();
+                 Sched.advance 4
+               done));
+        for i = 0 to waiters - 1 do
+          ignore (Sched.spawn (Printf.sprintf "s%d" i) (waiter i))
+        done;
+        for i = 0 to workers - 1 do
+          ignore (Sched.spawn (Printf.sprintf "c%d" i) (worker i))
+        done;
+        Sched.wait_until ~label:"serving done" (fun () -> !finished = workers + waiters);
+        note ())
+  in
+  (total, Digest.to_hex (Digest.string (Buffer.contents log)))
+
+let serving_expected =
+  [
+    ("min_clock", 1, 252, "534f5485f5505b5bf963d5b685f65ab1");
+    ("min_clock", 2, 302, "c1ed52b3da0e99a3e9b89adb375304d2");
+    ("random_priority", 1, 262, "daa8ca772c00e72e9f97136b9d5f04c2");
+    ("random_priority", 2, 305, "ca87488054a644d9cd8252bd02512cef");
+  ]
+
+let test_serving_schedule () =
+  List.iter
+    (fun (name, seed, total, digest) ->
+      let strategy =
+        if name = "min_clock" then Sched.min_clock else Sched.random_priority ~seed
+      in
+      let got_total, got_digest = serving_run ~seed strategy in
+      let what = Printf.sprintf "serving %s seed %d" name seed in
+      check Alcotest.int (what ^ ": run result") total got_total;
+      check Alcotest.string (what ^ ": resume log digest") digest got_digest)
+    serving_expected
+
+(* Schedules where the advancing fiber may keep the processor.  Each
+   program logs (thread id, clock) at every event; the expected logs were
+   recorded with a scheduler that switched on every [advance]. *)
+let logged_run main =
+  let log = Buffer.create 256 in
+  let note () = Printf.bprintf log "%d@%d;" (Sched.self ()) (Sched.now ()) in
+  let total = Sched.run (fun () -> main note) in
+  Printf.sprintf "%d|%s" total (Buffer.contents log)
+
+(* "a" stays earliest for 12 steps of 1 cycle while "b" sits at 10. *)
+let stays_earliest note =
+  ignore
+    (Sched.spawn "a" (fun () ->
+         for _ = 1 to 12 do
+           Sched.advance 1;
+           note ()
+         done));
+  ignore
+    (Sched.spawn "b" (fun () ->
+         Sched.advance 10;
+         note ();
+         Sched.advance 1;
+         note ()))
+
+(* [advance 0] between two fibers tied at the same clock: the lower id
+   wins the tie every time. *)
+let advance_zero note =
+  for i = 1 to 2 do
+    ignore
+      (Sched.spawn (Printf.sprintf "z%d" i) (fun () ->
+           Sched.advance 5;
+           for _ = 1 to 3 do
+             Sched.advance 0;
+             note ()
+           done))
+  done;
+  Sched.advance 0;
+  note ()
+
+(* A spawn followed at once by an advance: the child, starting at the
+   parent's clock, must run before the parent resumes. *)
+let spawn_then_advance note =
+  Sched.advance 10;
+  ignore (Sched.spawn "child" (fun () -> note (); Sched.advance 1; note ()));
+  Sched.advance 3;
+  note ();
+  ignore (Sched.spawn "child0" (fun () -> note ()));
+  Sched.advance 0;
+  note ()
+
+(* A waiter released by the advancing fiber's own write was dragged to the
+   writer's clock while it polled, so it wins the very next step. *)
+let own_write_releases note =
+  let flag = ref false in
+  ignore
+    (Sched.spawn "waiter" (fun () ->
+         Sched.wait_until ~label:"own write" (fun () -> !flag);
+         note ();
+         Sched.advance 2;
+         note ()));
+  ignore
+    (Sched.spawn "writer" (fun () ->
+         Sched.advance 100;
+         note ();
+         flag := true;
+         Sched.advance 1;
+         note ();
+         Sched.advance 0;
+         note ()));
+  Sched.advance 1;
+  note ()
+
+(* The waiter blocks at clock 0 while main takes five steps alone; each
+   step drags it along, so once released it resumes at main's clock. *)
+let dragged_while_alone note =
+  let flag = ref false in
+  ignore
+    (Sched.spawn "waiter" (fun () ->
+         Sched.wait_until ~label:"dragged" (fun () -> !flag);
+         note ()));
+  Sched.advance 1;
+  for _ = 1 to 5 do
+    Sched.advance 10;
+    note ()
+  done;
+  flag := true;
+  Sched.advance 1;
+  note ()
+
+let noswitch_expected =
+  [
+    ( "stays earliest",
+      stays_earliest,
+      "12|1@1;1@2;1@3;1@4;1@5;1@6;1@7;1@8;1@9;1@10;2@10;1@11;2@11;1@12;" );
+    ("advance 0", advance_zero, "5|0@0;1@5;1@5;1@5;2@5;2@5;2@5;");
+    ("spawn then advance", spawn_then_advance, "13|1@10;1@11;0@13;0@13;2@13;");
+    ("own write releases waiter", own_write_releases, "102|0@1;2@100;1@100;2@101;2@101;1@102;");
+    ( "waiter dragged while main runs alone",
+      dragged_while_alone,
+      "52|0@11;0@21;0@31;0@41;0@51;1@51;0@52;" );
+  ]
+
+let test_noswitch_schedules () =
+  List.iter
+    (fun (what, main, expected) -> check Alcotest.string what expected (logged_run main))
+    noswitch_expected
+
 (* Min_clock's pick allocates nothing per thread: the minor words one
    scheduling step costs do not grow with the number of blocked waiters
    whose (non-allocating) predicates it polls. *)
@@ -303,6 +509,8 @@ let suite =
     Alcotest.test_case "thread exceptions propagate" `Quick test_exception_propagates;
     Alcotest.test_case "simulation is deterministic" `Quick test_determinism;
     Alcotest.test_case "golden schedule" `Quick test_golden_schedule;
+    Alcotest.test_case "golden schedule at serving scale" `Quick test_serving_schedule;
+    Alcotest.test_case "golden no-switch schedules" `Quick test_noswitch_schedules;
     Alcotest.test_case "min-clock pick allocates nothing" `Quick test_pick_allocation_free;
     Alcotest.test_case "helpers degrade gracefully outside run" `Quick test_outside_run_fallbacks;
     Alcotest.test_case "rng int bounds" `Quick test_rng_bounds;
@@ -312,6 +520,7 @@ let suite =
     Alcotest.test_case "resource serializes bandwidth" `Quick test_resource_serializes;
     Alcotest.test_case "resource latency overlaps" `Quick test_resource_latency_overlaps;
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
+    Alcotest.test_case "stats resolved counters" `Quick test_stats_resolved_counters;
     Alcotest.test_case "latency percentiles" `Quick test_latency_percentiles;
     Alcotest.test_case "cycle conversions" `Quick test_cycles_conversions;
   ]

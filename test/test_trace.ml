@@ -111,6 +111,32 @@ let test_balanced_is_clean () =
   check (Alcotest.list Alcotest.string) "clean" [] (Trace.validate ());
   check Alcotest.int "no open spans" 0 (Trace.open_span_count ())
 
+(* Device utilization is the channel's busy time over the run.  Two threads
+   persisting at once each pay the full latency, so the cycles they are
+   charged sum to about twice the run; the channel itself is busy only for
+   the bandwidth component, and validation flags a busy time beyond the
+   run. *)
+let test_device_utilization () =
+  with_tracer @@ fun () ->
+  let cfg = { Dudetm_nvm.Pmem_config.default with persist_latency = 1000 } in
+  let d = Nvm.create ~label:"dev" cfg ~size:4096 in
+  let total =
+    Sched.run (fun () ->
+        for i = 0 to 1 do
+          ignore
+            (Sched.spawn (Printf.sprintf "p%d" i) (fun () ->
+                 Nvm.store_u64 d (i * 64) 1L;
+                 Nvm.persist d ~off:(i * 64) ~len:8))
+        done)
+  in
+  let dev = List.hd (Trace.nvm_dev_accts ()) in
+  check Alcotest.bool "charged cycles exceed the run" true (dev.Trace.nd_cycles > total);
+  check Alcotest.bool "busy time does not" true
+    (dev.Trace.nd_busy > 0 && dev.Trace.nd_busy <= total);
+  check (Alcotest.list Alcotest.string) "clean" [] (Trace.validate ~total_cycles:total ());
+  Trace.nvm_transfer ~dev:"dev" ~bytes:0 ~cycles:0 ~busy:total;
+  assert_violation (Trace.validate ~total_cycles:total ()) "device dev utilization"
+
 (* ----------------------------- histograms ----------------------------- *)
 
 let test_histogram_percentiles () =
@@ -263,7 +289,7 @@ let test_zero_allocation_when_disabled () =
     Trace.instant ~cat:"x" "i" i;
     Trace.counter ~cat:"x" "c" i;
     Trace.sample ~cat:"x" "s" i;
-    Trace.nvm_transfer ~dev:"dev" ~bytes:i ~cycles:i
+    Trace.nvm_transfer ~dev:"dev" ~bytes:i ~cycles:i ~busy:i
   done;
   let delta = Gc.minor_words () -. before in
   (* Allow a few words for the Gc.minor_words float boxes themselves; the
@@ -502,6 +528,8 @@ let suite =
     Alcotest.test_case "unclosed span detected" `Quick test_unclosed_detected;
     Alcotest.test_case "non-monotone timestamps detected" `Quick test_nonmonotone_detected;
     Alcotest.test_case "balanced trace validates clean" `Quick test_balanced_is_clean;
+    Alcotest.test_case "device utilization is channel busy time" `Quick
+      test_device_utilization;
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
     Alcotest.test_case "histogram edge buckets and sorting" `Quick
       test_histogram_zero_and_sort;
