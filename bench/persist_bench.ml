@@ -1,24 +1,21 @@
 (* Persist-pipeline tail experiment: commit-latency distribution under
-   bounded adaptive group commit.
+   bounded adaptive group commit, one shard of the shard workload (0%
+   cross; the multi-shard rows are BENCH_shard's).
 
-   Part 1 re-runs the shard workload at 1/2/4/8 shards (0% cross) and
-   reports p50/p99 commit latency plus the p99/p50 tail-amplification
-   ratio — the metric the bounded batches exist to control.  The run
-   fails if one shard's ratio exceeds 10x: that is the regression gate
-   against the old drain-everything Persist loop, whose single giant
-   flush put p99 at 150x p50.
-
-   Part 2 sweeps the batch bound and the group-commit deadline at one
-   shard, mapping the latency/throughput trade-off: small bounds cut the
-   tail but pay per-record overhead; long deadlines amortize better but
-   delay lightly loaded batches.  Emits BENCH_persist.json. *)
+   It sweeps the batch bound and the group-commit deadline, mapping the
+   latency/throughput trade-off: small bounds cut the tail but pay
+   per-record overhead; long deadlines amortize better but delay lightly
+   loaded batches.  Each row reports p50/p99 commit latency and the
+   p99/p50 tail-amplification ratio — the metric the bounded batches
+   exist to control.  The run fails if the default row's ratio (bound
+   128, deadline 4000) exceeds 10x: that is the regression gate against
+   the old drain-everything Persist loop, whose single giant flush put
+   p99 at 150x p50.  Emits BENCH_persist.json. *)
 
 open Dudetm_harness.Harness
 module SB = Dudetm_shard.Shard_bench
 
 let canonical_ntxs = 2_000
-
-let shard_counts = [ 1; 2; 4; 8 ]
 
 let batch_maxes = [ 16; 32; 64; 128; 256 ]
 
@@ -48,19 +45,7 @@ let run ?(scale = 1.0) () =
        "Persist pipeline tail: bounded group commit, %d txs, 8 workers, 0.25 GB/s per \
         shard"
        ntxs);
-  Printf.printf "%-8s %12s %10s %10s %10s\n" "shards" "throughput" "p50" "p99"
-    "p99/p50";
-  let shard_rows =
-    List.map
-      (fun n ->
-        let r = SB.run ~ntxs ~nshards:n ~cross_pct:0 () in
-        let p50, p99 = pcts r in
-        Printf.printf "%-8d %12s %10d %10d %9.1fx\n" n (pp_ktps r.SB.sb_ktps) p50 p99
-          (SB.tail_ratio r);
-        r)
-      shard_counts
-  in
-  Printf.printf "\nbatch-bound sweep at 1 shard (deadline = default):\n";
+  Printf.printf "batch-bound sweep at 1 shard (deadline = default):\n";
   Printf.printf "%-10s %12s %10s %10s %10s\n" "batch_max" "throughput" "p50" "p99"
     "p99/p50";
   let bound_rows =
@@ -88,15 +73,17 @@ let run ?(scale = 1.0) () =
         (d, r))
       deadlines
   in
-  let one = List.hd shard_rows in
-  let ratio1 = SB.tail_ratio one in
+  (* The gate reads the default row: bound [batch_max_entries], default
+     deadline. *)
+  let ratio1 =
+    SB.tail_ratio (List.assoc Dudetm_core.Config.default.batch_max_entries bound_rows)
+  in
   let json =
     Printf.sprintf
       "{\n  \"experiment\": \"persist-tail\",\n  \"txs\": %d,\n  \"workers\": 8,\n  \
-       \"bandwidth_gbps\": 0.25,\n  \"tail_ratio_1_shard\": %.1f,\n  \"shards\": [\n%s\n  \
-       ],\n  \"batch_sweep\": [\n%s\n  ],\n  \"deadline_sweep\": [\n%s\n  ]\n}\n"
+       \"bandwidth_gbps\": 0.25,\n  \"tail_ratio_1_shard\": %.1f,\n  \"batch_sweep\": \
+       [\n%s\n  ],\n  \"deadline_sweep\": [\n%s\n  ]\n}\n"
       ntxs ratio1
-      (String.concat ",\n" (List.map row_json shard_rows))
       (String.concat ",\n"
          (List.map (fun (b, r) -> row_json ~batch_max:b r) bound_rows))
       (String.concat ",\n"

@@ -381,7 +381,8 @@ let check_cmd =
         arg ~docv:"K" "replicas" "With --replica: replica count.";
         arg ~docv:"SCENARIO" "scenario"
           "With --replica: restrict the sweep to one link scenario (clean, faulty, or \
-           partition); with --crash-at, replay one exact primary kill.";
+           partition); with --shards: to one persist policy (plain or combined).  With \
+           --crash-at, replay one exact cut.";
         arg "shard-count" "With --shards: independent regions to create.";
         arg ~docv:"MIX" "faults"
           "With --media and --media-seed: replay one exact case with this fault mix (heap \

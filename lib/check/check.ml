@@ -1224,12 +1224,52 @@ let shard_oracle ~nshards ~acked_frontier ~acked_eff sh =
   done;
   !bad
 
-(* One run: sequential mixed transfers + local bumps, power cut at persist
-   boundary [at] counted across every shard's device (none: clean stop).
-   The vector watermark is sampled at each boundary — exactly what had been
-   acknowledged when the power went out. *)
-let shard_run ~fault ~nshards ~txs cuts =
-  let cfg = dude_cfg ~combine:false ~fault in
+(* Two persist policies under the same transfers: [plain] runs them
+   sequentially over per-thread rings; [combined] runs them on three
+   concurrent workers over one combined ring ([group_size] 2), so groups
+   mix fragments with their neighbours unless the combiner seals every
+   fragment alone. *)
+type shard_scenario = Splain | Scombined
+
+let shard_scenarios = [ (Splain, "plain"); (Scombined, "combined") ]
+
+let shard_scenario_of_string s =
+  match List.find_opt (fun (_, n) -> n = s) shard_scenarios with
+  | Some (sc, _) -> sc
+  | None -> invalid_arg ("Check.shard_scenario_of_string: unknown scenario " ^ s)
+
+let shard_workers = 3
+
+(* Transfer [k]: bloat [b]'s next flush record first, then move 5 from
+   [a] to [b], stamping the pair on both sides.  Persist publishes a
+   record's durable IDs at a single fence, so queue depth alone creates no
+   skew — record size does: [b]'s fence lands well after [a]'s tiny
+   fragment record is durable (and applicable), opening the window the
+   replay gate must cover. *)
+let shard_transfer sh ~nshards ~thread k =
+  let a = k mod nshards and b = (k + 1) mod nshards in
+  ignore
+    (Shard.atomically sh ~thread ~shards:[ b ] (fun tx ->
+         for i = 0 to 63 do
+           Shard.write tx ~shard:b (1024 + (8 * i)) (Int64.of_int (k + i))
+         done;
+         Shard.write tx ~shard:b shb_local (Int64.add (Shard.read tx ~shard:b shb_local) 1L)));
+  ignore
+    (Shard.atomically sh ~thread ~shards:[ a; b ] (fun tx ->
+         let ba = Shard.read tx ~shard:a shb_balance in
+         let bb = Shard.read tx ~shard:b shb_balance in
+         Shard.write tx ~shard:a shb_balance (Int64.sub ba 5L);
+         Shard.write tx ~shard:b shb_balance (Int64.add bb 5L);
+         Shard.write tx ~shard:a (shb_pair b) (Int64.of_int k);
+         Shard.write tx ~shard:b (shb_pair a) (Int64.of_int k)))
+
+(* One run: [txs] transfers (per worker, when concurrent) plus local
+   bumps, power cut at persist boundary [at] counted across every shard's
+   device (none: clean stop).  The vector watermark is sampled at each
+   boundary — exactly what had been acknowledged when the power went
+   out. *)
+let shard_run ~fault ~nshards ~txs ~scenario cuts =
+  let cfg = dude_cfg ~combine:(scenario = Scombined) ~fault in
   let sh = Shard.create ~nshards cfg in
   let acked_frontier = ref 0 in
   let acked_eff = Array.make nshards 0 in
@@ -1250,30 +1290,23 @@ let shard_run ~fault ~nshards ~txs cuts =
                      Shard.write tx ~shard:s shb_balance shb_initial))
             done;
             C.arm cut;
-            for k = 1 to txs do
-              let a = k mod nshards and b = (k + 1) mod nshards in
-              (* Bloat [b]'s next flush record first.  Persist drains a
-                 thread's whole backlog into one record and publishes its
-                 durable IDs at a single fence, so queue depth alone creates
-                 no skew — record size does: [b]'s fence lands well after
-                 [a]'s tiny fragment record is durable (and applicable),
-                 opening the window the replay gate must cover. *)
-              ignore
-                (Shard.atomically sh ~thread:(k mod 3) ~shards:[ b ] (fun tx ->
-                     for i = 0 to 63 do
-                       Shard.write tx ~shard:b (1024 + (8 * i)) (Int64.of_int (k + i))
-                     done;
-                     Shard.write tx ~shard:b shb_local
-                       (Int64.add (Shard.read tx ~shard:b shb_local) 1L)));
-              ignore
-                (Shard.atomically sh ~thread:(k mod 3) ~shards:[ a; b ] (fun tx ->
-                     let ba = Shard.read tx ~shard:a shb_balance in
-                     let bb = Shard.read tx ~shard:b shb_balance in
-                     Shard.write tx ~shard:a shb_balance (Int64.sub ba 5L);
-                     Shard.write tx ~shard:b shb_balance (Int64.add bb 5L);
-                     Shard.write tx ~shard:a (shb_pair b) (Int64.of_int k);
-                     Shard.write tx ~shard:b (shb_pair a) (Int64.of_int k)))
-            done;
+            (match scenario with
+            | Splain ->
+              for k = 1 to txs do
+                shard_transfer sh ~nshards ~thread:(k mod 3) k
+              done
+            | Scombined ->
+              let done_workers = ref 0 in
+              for w = 0 to shard_workers - 1 do
+                ignore
+                  (Sched.spawn (Printf.sprintf "shard-worker-%d" w) (fun () ->
+                       for j = 1 to txs do
+                         shard_transfer sh ~nshards ~thread:w ((w * txs) + j)
+                       done;
+                       incr done_workers))
+              done;
+              Sched.wait_until ~label:"shard workers done" (fun () ->
+                  !done_workers = shard_workers));
             C.disarm cut;
             Shard.stop sh))
   in
@@ -2248,7 +2281,7 @@ let spec = function
     ([ ("--system", "dude"); ("--media-seed", ""); ("--faults", ""); ("--media-seeds", "6") ], 1)
   | C.Recovery -> ([ ("--leg", ""); ("--rec-seeds", "0") ], 3)
   | C.Daemons -> ([ ("--daemon-seed", ""); ("--fault-rate", "0.25") ], 1)
-  | C.Shards -> ([ ("--shard-count", "3"); ("--txs", "10") ], 1)
+  | C.Shards -> ([ ("--shard-count", "3"); ("--txs", "10"); ("--scenario", "") ], 1)
   | C.Batch -> ([ ("--txs", "12") ], 2)
   | C.Replica -> ([ ("--replicas", "3"); ("--txs", "10"); ("--scenario", "") ], 1)
   | C.Migrate -> ([], 2)
@@ -2349,7 +2382,22 @@ let run ?(fault = Config.No_fault) ?(level = C.env_level ()) ?(log = ignore) ?(a
   | C.Shards ->
     let nshards = int "--shard-count" in
     if nshards < 2 then invalid_arg "--shards needs --shard-count 2 or more";
-    sweep [ scenario (shard_run ~fault ~nshards ~txs:(int "--txs")) ]
+    let scenarios =
+      match opt "--scenario" with
+      | Some sc -> [ shard_scenario_of_string sc ]
+      | None when cuts = [] -> List.map fst shard_scenarios
+      | None -> invalid_arg "--shards replays one cut from --scenario and --crash-at"
+    in
+    (* Unlike --replica, every scenario sweeps the full site budget. *)
+    sweep
+      (List.map
+         (fun sc ->
+           let name = List.assoc sc shard_scenarios in
+           let args =
+             List.map (fun (k, _) -> (k, if k = "--scenario" then name else str k)) declared
+           in
+           scenario ~args (shard_run ~fault ~nshards ~txs:(int "--txs") ~scenario:sc))
+         scenarios)
   | C.Batch -> sweep [ scenario ~two_deep:15 (batch_run ~fault ~txs:(int "--txs")) ]
   | C.Replica ->
     let nreplicas = int "--replicas" and txs = int "--txs" in

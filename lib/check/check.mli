@@ -208,10 +208,13 @@ val count_sites : sut -> workload -> sched:sched_spec -> int
       quiescent run and a mid-run power cut per seed must still satisfy the
       crash oracle.  A sweep without a single restart fails as vacuous.
     - {b [Shards]}: cross-shard transfers over a sharded instance, cut on
-      every shard's device.  Oracle: no partial transfer (pairwise stamps
-      agree, the balance sum over durably-seeded shards holds) and nothing
-      the vector watermark acknowledged is lost.  Catches
-      {!Dudetm_core.Config.Skip_fragment_gate}.
+      every shard's device, once per persist policy ([--scenario]): plain
+      (sequential transfers, per-thread rings) and combined (three
+      concurrent workers over combined group commit).  Oracle: no partial
+      transfer (pairwise stamps agree, the balance sum over
+      durably-seeded shards holds) and nothing the vector watermark
+      acknowledged is lost.  Catches
+      {!Dudetm_core.Config.Skip_fragment_gate} in either scenario.
     - {b [Batch]}: the pipelined combine/flush group commit with small
       batches, cut at every boundary (including between a batch's seal and
       its record's fence) and, two deep, in the recovered engine's second
@@ -255,9 +258,10 @@ val run :
     may go only as deep as the campaign re-cuts (three for [Recovery], two
     for [Batch] and [Migrate], one otherwise) — anything else raises
     [Invalid_argument].  Non-empty [cuts] replay exactly one case (with
-    [--scenario] for [Replica], [--leg] for [Recovery], [--daemon-seed] for
-    [Daemons], [--media-seed] and [--faults] for [Media], or [--sched] for
-    [Engine], which also replays without cuts), so
+    [--scenario] for [Replica] and [Shards], [--leg] for [Recovery],
+    [--daemon-seed] for [Daemons], [--media-seed] and [--faults] for
+    [Media], or [--sched] for [Engine], which also replays without cuts),
+    so
     [run ~fault:f.fault ~args:f.args ~cuts:f.cuts f.campaign] reproduces a
     failure [f].  [level] (default {!Campaign.env_level}) sizes the sweep;
     {!Campaign.Quick} also shrinks [Recovery] and [Daemons] to their

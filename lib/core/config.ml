@@ -93,7 +93,7 @@ let with_mode mode t = { t with mode }
 
 let with_pmem pmem t = { t with pmem }
 
-let plog_regions t = if t.combine then t.persist_threads else t.nthreads
+let plog_regions t = if t.combine then 1 else t.nthreads
 
 let heap_base _ = 0
 

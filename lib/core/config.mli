@@ -58,7 +58,7 @@ type fault =
           partial cross-shard transaction surviving recovery.  Validates
           the sharded crash campaign ([dudetm check --shards]). *)
   | Skip_batch_seal
-      (** The pipelined Persist stage publishes a batch's durable IDs when
+      (** The Persist seal stage publishes a batch's durable IDs when
           the batch is {e sealed} (combined, CRC'd and queued for flushing)
           instead of when its log record's NVM persist completes: a
           mid-pipeline crash — batch [k] durable, batch [k+1]

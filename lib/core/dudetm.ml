@@ -64,14 +64,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      applied: (region, end_off, next_seq). *)
   type queued = { item : Redo.item; recycle : (int * int * int) option }
 
-  (* A sealed-but-unflushed batch in the pipelined (combined) persist
-     path: the combiner has merged, combined and encoded it; the flusher
-     still has to write it to NVM.  Lives in [t] so a combiner restart
-     never re-seals (or drops) a batch already handed to the flusher. *)
-  type prepared_batch = {
-    pb_entries : Log_entry.t list;  (* combined, end marks included *)
-    pb_payload : bytes;
-  }
+  (* A sealed-but-unflushed batch: its entries (end marks included,
+     combined when configured) and the exact payload the flush appends.
+     Combined batches wait in [t.prepared], so a combiner restart never
+     re-seals (or drops) a batch already handed to the flusher. *)
+  type sealed = { entries : Log_entry.t list; payload : bytes }
 
   type t = {
     cfg : Config.t;
@@ -98,13 +95,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
        a supervisor restart resumes exactly where the failed daemon left
        off: staged-but-unflushed combined transactions, the next group ID,
        and reproduced-but-unpersisted dirty ranges all survive. *)
-    staging : (int, Log_entry.t list) Hashtbl.t;  (* combined persist: tid -> entries *)
+    staging : (int, Log_entry.t list * bool) Hashtbl.t;  (* combined: tid -> entries, fragment? *)
     mutable next_flush : int;  (* combined persist: next group's first tid *)
-    prepared : prepared_batch Queue.t;  (* sealed batches awaiting NVM flush *)
+    builder : Combine.builder;  (* combined persist: drained at every seal *)
+    prepared : sealed Queue.t;  (* sealed batches awaiting NVM flush *)
     mutable combiner_done : bool;  (* combiner exited; flusher may too *)
     mutable flush_started_at : int;  (* ts of the in-flight NVM flush; -1 idle *)
-    batch_open_at : int array;  (* per vlog: ts the open batch started; -1 *)
-    mutable staged_open_at : int;  (* combined: ts oldest staged tx arrived; -1 *)
+    batch_open_at : int array;  (* per cut source: ts the open batch started; -1 *)
     mutable batch_bound : int;  (* adaptive entries-per-record bound *)
     mutable batch_ewma : float;  (* smoothed backlog-at-flush estimate *)
     mutable durable_waiters : int;  (* threads blocked in [wait_durable] *)
@@ -209,11 +206,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       pending_recycle = [];
       staging = Hashtbl.create 1024;
       next_flush = tid_base + 1;
+      builder = Combine.builder ();
       prepared = Queue.create ();
       combiner_done = false;
       flush_started_at = -1;
       batch_open_at = Array.make cfg.Config.nthreads (-1);
-      staged_open_at = -1;
       batch_bound = cfg.Config.batch_max_entries;
       batch_ewma = float_of_int cfg.Config.batch_max_entries;
       durable_waiters = 0;
@@ -400,15 +397,34 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     else match t.replay_gate with Some gate -> gate (Queue.peek t.queues.(i)).item | None -> true
 
   (* ------------------------------------------------------------------ *)
-  (* Persist step                                                        *)
+  (* Persist step: one pipeline, cut → seal → flush                      *)
+  (*                                                                     *)
+  (* A cut picks the next batch of whole transactions; the seal turns it  *)
+  (* into a record payload (combined and compressed when configured);     *)
+  (* the flush waits for ring room, appends the record and publishes it.  *)
+  (* Plain and combined group commit are the pipeline's two cut policies: *)
+  (*                                                                     *)
+  (*   plain     one source per volatile log, cut under the adaptive      *)
+  (*             entry bound into that log's own ring; [persist_threads]  *)
+  (*             daemons take the fullest ripe log first and seal and     *)
+  (*             flush inline (Sync mode runs the same cut per commit);   *)
+  (*   combined  one source: every log staged by transaction ID and cut   *)
+  (*             in global-ID order at [group_size] transactions into     *)
+  (*             ring 0.  The "persist-0" daemon seals; "persist-flush"   *)
+  (*             flushes what it sealed, so sealing batch k+1 overlaps    *)
+  (*             batch k's NVM transfer.                                  *)
+  (*                                                                     *)
+  (* A combined record replays as one item ({!Redo.items}), so the shard  *)
+  (* replay gate and the recovery vote act only at record boundaries: a   *)
+  (* transaction carrying a cross-shard fragment closes the open group    *)
+  (* and is sealed alone, so no record mixes a fragment with anything.    *)
   (* ------------------------------------------------------------------ *)
 
-  (* The one publish path for a sealed record, shared by the plain and the
-     combined Persist flushers and by follower ingest, once the record is
-     in its ring: count it, queue its replay items for Reproduce, advance
-     the durable ID and ship it to replicas.  Under the Skip_batch_seal
-     mutant the combiner already advanced the durable ID at seal time, so
-     the flusher's publish adds nothing to it. *)
+  (* The one publish path for a sealed record, shared by the flush stage
+     and follower ingest, once the record is in its ring: count it, queue
+     its replay items for Reproduce, advance the durable ID and ship it to
+     replicas.  Under the Skip_batch_seal mutant the seal already advanced
+     the durable ID, so publishing adds nothing to it. *)
   let publish t ~region items ~payload (record : Plog.record) =
     Stats.incr t.stats "flush_records";
     Stats.add t.stats "flush_payload_bytes" (Bytes.length payload);
@@ -427,20 +443,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       f { ship_seq = record.Plog.seq; ship_lo = lo; ship_hi = hi; ship_payload = payload }
     | _ -> ()
 
-  (* ------------------------------------------------------------------ *)
-  (* Bounded adaptive group commit                                       *)
-  (*                                                                     *)
-  (* Instead of draining the whole backlog into one record (whose NVM     *)
-  (* transfer then occupies the channel for the entire backlog's bytes —  *)
-  (* the 150x commit-latency tail), the Persist daemons cut records at a  *)
-  (* bounded number of entries and flush a batch when it reaches the      *)
-  (* bound OR when it has aged past [batch_deadline], whichever first.    *)
-  (* The bound adapts to the recent arrival rate: an EWMA of the backlog  *)
-  (* observed at each flush, clamped to [batch_min, batch_max], so light  *)
-  (* load gets small low-latency batches and heavy load amortizes the     *)
-  (* per-record overhead without ever exceeding the cap.                  *)
-  (* ------------------------------------------------------------------ *)
-
+  (* The plain bound adapts to the recent arrival rate: an EWMA of the
+     backlog observed at each flush, clamped to [batch_min, batch_max], so
+     light load gets small low-latency batches and heavy load amortizes the
+     per-record overhead without ever exceeding the cap (one giant record
+     would hold the channel for the whole backlog's bytes). *)
   let batch_cap t = max 1 (min t.batch_bound t.cfg.Config.batch_max_entries)
 
   (* Fold one observed backlog into the adaptive bound. *)
@@ -464,361 +471,307 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
          else (0.75 *. t.drain_pace) +. (0.25 *. per))
     end
 
-  (* Flush the longest prefix of whole transactions from thread [i]'s
-     volatile log that fits the adaptive entry bound and the persistent
-     ring's free space.  Returns true if a record was written. *)
-  let flush_thread t i ~wait_space =
-    let vlog = t.vlogs.(i) in
-    let plog = t.plogs.(i) in
-    let hd = Vlog.head vlog in
-    let cm = Vlog.committed vlog in
-    if cm <= hd then false
+  (* -- cut ------------------------------------------------------------ *)
+
+  (* The open-batch clock of source [i]: when its oldest uncut transaction
+     became visible to the daemon ([-1]: nothing pending). *)
+  let open_clock t i ~fill ~now =
+    if fill = 0 then t.batch_open_at.(i) <- -1
+    else if t.batch_open_at.(i) < 0 then t.batch_open_at.(i) <- now
+
+  (* After a cut the clock restarts at once if the source still holds
+     transactions. *)
+  let restart_clock t i ~more = t.batch_open_at.(i) <- (if more then Sched.now () else -1)
+
+  (* The trigger rule: why source [i]'s open batch is cut now — the
+     counter that records it — or [None] to keep it open.  A batch is cut
+     when it is [full], when a caller blocks in [wait_durable], when it has
+     aged past [batch_deadline], or when it is the [tail] of a draining
+     run.  The policies file a cut forced by a waiter differently (plain:
+     drain, before the deadline; combined: deadline, before the tail), and
+     Shard_bench and perfbench read the counters. *)
+  let cut_reason t i ~fill ~full ~now ~tail =
+    if fill = 0 then None
+    else if full then Some "batch_size_flushes"
+    else
+      let opened = t.batch_open_at.(i) in
+      let aged = opened >= 0 && now - opened >= t.cfg.Config.batch_deadline in
+      let waited = t.durable_waiters > 0 in
+      let tail = tail && (t.draining || t.stop_flag) in
+      if t.cfg.Config.combine then
+        if aged || waited then Some "batch_deadline_flushes"
+        else if tail then Some "batch_drain_flushes"
+        else None
+      else if waited || tail then Some "batch_drain_flushes"
+      else if aged then Some "batch_deadline_flushes"
+      else None
+
+  (* A daemon with nothing to cut ages an open batch toward the deadline by
+     advancing simulated time (a time-based [wait_until] predicate would
+     deadlock the scheduler once every other thread blocks), or sleeps
+     until [woken]. *)
+  let idle t ~open_batch ~woken =
+    if open_batch then Sched.advance (max 1 (t.cfg.Config.batch_deadline / 4))
     else begin
+      Sched.wait_until ~label:"persist: waiting for logs" woken;
+      Sched.yield ()
+    end
+
+  (* -- seal ----------------------------------------------------------- *)
+
+  (* Seal a cut batch (end marks included): charge the per-entry CPU work,
+     combine and compress it when configured, and encode its payload.  The
+     combining cycles count as pipeline overlap when the flusher held the
+     channel throughout. *)
+  let seal t entries =
+    let entries =
+      if not t.cfg.Config.combine then begin
+        stat_max t.stats "batch_hwm_entries" (List.length entries);
+        Sched.advance (flush_cost_per_entry * List.length entries);
+        entries
+      end
+      else begin
+        let overlapping = t.flush_started_at >= 0 in
+        let combined, cstats =
+          Trace.span ~cat:"persist" "combine" (fun () ->
+              Combine.feed_list t.builder entries;
+              let r = Combine.seal t.builder in
+              Sched.advance (flush_cost_per_entry * (snd r).Combine.entries_in);
+              r)
+        in
+        Stats.add t.stats "combine_writes_in" cstats.Combine.writes_in;
+        Stats.add t.stats "combine_writes_out" cstats.Combine.writes_out;
+        stat_max t.stats "batch_hwm_entries" cstats.Combine.entries_in;
+        if t.cfg.Config.compress then
+          Trace.span ~cat:"persist" "compress" (fun () ->
+              let body = Log_entry.encode_list combined in
+              Sched.advance
+                (int_of_float (float_of_int (Bytes.length body) *. compress_cost_per_byte));
+              Stats.add t.stats "compress_in_bytes" (Bytes.length body);
+              Stats.add t.stats "compress_out_bytes" (Bytes.length (Lz.compress body)));
+        if overlapping && t.flush_started_at >= 0 then begin
+          let hidden = Sched.now () - t.flush_started_at in
+          if hidden > 0 then begin
+            Stats.add t.stats "pipe_overlap_cycles" hidden;
+            Trace.instant ~cat:"persist" "pipe_overlap" hidden
+          end
+        end;
+        combined
+      end
+    in
+    (* Seeded mutant (checker self-test only): acknowledge the batch at
+       seal time — its record has not reached NVM, so a crash in the
+       pipeline window loses acknowledged transactions. *)
+    if t.cfg.Config.fault = Config.Skip_batch_seal then
+      note_flushed t (Redo.items t.cfg entries);
+    { entries; payload = Log_entry.encode_payload ~compress:t.cfg.Config.compress entries }
+
+  (* -- flush ---------------------------------------------------------- *)
+
+  (* Whether ring [region] has room for a record of [need] bytes, header
+     included — after waiting for recycling to free it, if [wait]. *)
+  let ring_room t region need ~wait =
+    let plog = t.plogs.(region) in
+    if need > Plog.data_capacity plog then
+      invalid_arg "Dudetm: a record exceeds the persistent log ring";
+    if wait && Plog.free_space plog < need then
+      Sched.wait_until ~label:"plog space" (fun () -> Plog.free_space plog >= need);
+    Plog.free_space plog >= need
+
+  (* Append a sealed batch to ring [region] and publish it.  Seeded mutant
+     (checker self-test only): skip the record's persist fence, so the
+     durable ID published covers a record still sitting in the cache — a
+     crash loses transactions the application already acknowledged. *)
+  let flush t ~region b =
+    ignore (ring_room t region (Plog.record_overhead + Bytes.length b.payload) ~wait:true);
+    t.flush_started_at <- Sched.now ();
+    let record =
+      Trace.span ~cat:"persist" "flush" (fun () ->
+          Plog.append
+            ~persist:(t.cfg.Config.fault <> Config.Early_durable_publish)
+            t.plogs.(region) b.payload)
+    in
+    note_drain_pace t ~entries:(List.length b.entries)
+      ~cycles:(Sched.now () - t.flush_started_at);
+    t.flush_started_at <- -1;
+    publish t ~region (Redo.items t.cfg b.entries) ~payload:b.payload record
+
+  (* -- plain policy ---------------------------------------------------- *)
+
+  (* Cut the longest prefix of whole transactions from thread [i]'s
+     volatile log that fits the adaptive entry bound and ring [i]'s free
+     space — always at least one transaction — then seal and flush it.
+     Returns false (without waiting, unless [wait]) when the ring has no
+     room for even the first transaction. *)
+  let cut_vlog t i ~wait =
+    let vlog = t.vlogs.(i) in
+    let hd = Vlog.head vlog and cm = Vlog.committed vlog in
+    cm > hd
+    && begin
       stat_max t.stats "vlog_hwm_entries" (cm - hd);
-      let budget () = Plog.free_space plog - Plog.record_overhead - 1 in
-      (* Find the cut: last tx boundary within the entry cap and byte
-         budget, but always at least one whole transaction. *)
-      let cap = batch_cap t in
-      let find_cut bytes_avail =
-        let pos = ref hd and cut = ref hd and size = ref 0 and n = ref 0 in
-        let first_tx_done = ref false in
-        (try
-           while !pos < cm do
-             let e = Vlog.get vlog !pos in
-             let sz = Log_entry.encoded_size e in
-             if !first_tx_done && (!n >= cap || !size + sz > bytes_avail) then
-               raise Exit;
-             size := !size + sz;
-             incr n;
-             incr pos;
-             (match e with
-             | Log_entry.Tx_end _ ->
-               if !size <= bytes_avail then begin
-                 cut := !pos;
-                 first_tx_done := true
-               end
-             | Log_entry.Write _ | Log_entry.Alloc _ | Log_entry.Free _
-             | Log_entry.Cross _ -> ())
-           done
-         with Exit -> ());
-        !cut
+      let rec tx_bytes pos size =
+        let e = Vlog.get vlog pos in
+        let size = size + Log_entry.encoded_size e in
+        match e with Log_entry.Tx_end _ -> size | _ -> tx_bytes (pos + 1) size
       in
-      let first_tx_bytes () =
-        let pos = ref hd and size = ref 0 in
-        let continue = ref true in
-        while !continue && !pos < cm do
-          let e = Vlog.get vlog !pos in
-          size := !size + Log_entry.encoded_size e;
-          (match e with Log_entry.Tx_end _ -> continue := false | _ -> ());
-          incr pos
-        done;
-        !size
-      in
-      let need1 = first_tx_bytes () in
-      if need1 + Plog.record_overhead + 1 > Plog.data_capacity plog then
-        invalid_arg "Dudetm: a single transaction exceeds the persistent log ring";
-      if budget () < need1 then
-        if wait_space then
-          Sched.wait_until ~label:"plog space" (fun () -> budget () >= need1 || t.stop_flag)
-        else ();
-      if budget () < need1 then false
-      else
-        (* The Fun.protect-based [Trace.span] keeps the trace balanced even
-           when the scheduler kills this daemon mid-flush.  [persist.batch]
-           covers the whole unit (cut, CPU work, NVM write, bookkeeping);
-           the inner [persist.flush] isolates the NVM record write. *)
-        Trace.span ~cat:"persist" "batch" (fun () ->
-            let cut = find_cut (budget ()) in
-            assert (cut > hd);
-            let entries = List.init (cut - hd) (fun k -> Vlog.get vlog (hd + k)) in
-            stat_max t.stats "batch_hwm_entries" (List.length entries);
-            Sched.advance (flush_cost_per_entry * List.length entries);
-            let payload = Log_entry.encode_payload entries in
-            (* Seeded mutant (checker self-test only): skip the record's persist
-               fence, so the durable ID published below covers a record still
-               sitting in the cache — a crash loses transactions the
-               application already acknowledged. *)
-            let t_io = Sched.now () in
-            let record =
-              Trace.span ~cat:"persist" "flush" (fun () ->
-                  Plog.append
-                    ~persist:(t.cfg.Config.fault <> Config.Early_durable_publish)
-                    plog payload)
-            in
-            note_drain_pace t ~entries:(List.length entries)
-              ~cycles:(Sched.now () - t_io);
-            Vlog.consume_to vlog cut;
-            publish t ~region:i (Redo.items t.cfg entries) ~payload record;
-            true)
+      ring_room t i (Plog.record_overhead + 1 + tx_bytes hd 0) ~wait
+      (* The Fun.protect-based [Trace.span] keeps the trace balanced even
+         when the scheduler kills this daemon mid-flush.  [persist.batch]
+         covers the whole unit (cut, CPU work, NVM write, bookkeeping); the
+         inner [persist.flush] isolates the NVM record write. *)
+      && Trace.span ~cat:"persist" "batch" (fun () ->
+             let avail = Plog.free_space t.plogs.(i) - Plog.record_overhead - 1 in
+             let cap = batch_cap t in
+             let rec scan pos n size cut =
+               if pos = cm then cut
+               else
+                 let e = Vlog.get vlog pos in
+                 let size = size + Log_entry.encoded_size e in
+                 if cut > hd && (n >= cap || size > avail) then cut
+                 else
+                   scan (pos + 1) (n + 1) size
+                     (match e with Log_entry.Tx_end _ -> pos + 1 | _ -> cut)
+             in
+             let cut = scan hd 0 0 hd in
+             flush t ~region:i (seal t (List.init (cut - hd) (fun k -> Vlog.get vlog (hd + k))));
+             Vlog.consume_to vlog cut;
+             true)
     end
 
   let persist_plain_loop t p =
     let mine =
       List.filter
         (fun i -> i mod t.cfg.Config.persist_threads = p)
-        (List.init t.cfg.Config.nthreads (fun i -> i))
+        (List.init t.cfg.Config.nthreads Fun.id)
     in
     let pending i = Vlog.committed t.vlogs.(i) - Vlog.head t.vlogs.(i) in
     let has_data i = pending i > 0 in
-    let deadline = t.cfg.Config.batch_deadline in
-    (* Deadline aging polls by advancing simulated time: a time-based
-       [wait_until] predicate would deadlock the scheduler once every
-       other thread blocks (nothing else advances the clock). *)
-    let poll_step = max 1 (deadline / 4) in
+    let woken () = t.stop_flag || List.exists has_data mine in
+    (* Fullest ripe vlog first: the producer closest to blocking on a full
+       ring is served before lightly loaded ones.  A ripe vlog whose ring
+       is full (recycle pending) must not stall the others: fall through
+       to the next-fullest, and poll only when none can make progress. *)
+    let rec cut_first reason = function
+      | [] -> None
+      | i :: rest ->
+        let n = pending i and why = reason i in
+        if cut_vlog t i ~wait:false then begin
+          Option.iter (Stats.incr t.stats) why;
+          note_batch_fill t n;
+          Some i
+        end
+        else cut_first reason rest
+    in
     let rec loop () =
       maybe_fault t "persist";
       let now = Sched.now () in
-      List.iter
-        (fun i ->
-          if has_data i then begin
-            if t.batch_open_at.(i) < 0 then t.batch_open_at.(i) <- now
-          end
-          else t.batch_open_at.(i) <- -1)
-        mine;
-      (* Flush an undersized batch immediately when somebody is blocked on
-         durability or the run is winding down; otherwise hold it for the
-         size bound or the deadline. *)
-      let urgent = t.durable_waiters > 0 || t.draining || t.stop_flag in
-      let ripe i =
-        has_data i
-        && (pending i >= batch_cap t || urgent
-           || (t.batch_open_at.(i) >= 0 && now - t.batch_open_at.(i) >= deadline))
-      in
-      (* Fullest vlog first: the producer closest to blocking on a full
-         ring is served before lightly loaded ones, which is what converts
-         the old drain-everything latency spike into a bounded wait.  A
-         ripe vlog whose persistent ring is full (recycle pending) must
-         not stall the others: fall through to the next-fullest ripe vlog
-         and only wait when none can make progress. *)
-      let ripe_by_fill =
-        List.sort
-          (fun a b -> compare (pending b) (pending a))
-          (List.filter ripe mine)
-      in
-      let flushed =
-        List.fold_left
-          (fun done_ i ->
-            match done_ with
-            | Some _ -> done_
-            | None ->
-              let n = pending i in
-              if flush_thread t i ~wait_space:false then begin
-                Stats.incr t.stats
-                  (if n >= batch_cap t then "batch_size_flushes"
-                   else if urgent then "batch_drain_flushes"
-                   else "batch_deadline_flushes");
-                note_batch_fill t n;
-                Some i
-              end
-              else None)
-          None ripe_by_fill
-      in
-      match flushed with
+      List.iter (fun i -> open_clock t i ~fill:(pending i) ~now) mine;
+      let cap = batch_cap t in
+      let reason i = cut_reason t i ~fill:(pending i) ~full:(pending i >= cap) ~now ~tail:true in
+      let ripe = List.filter (fun i -> reason i <> None) mine in
+      match cut_first reason (List.sort (fun a b -> compare (pending b) (pending a)) ripe) with
       | Some i ->
-        t.batch_open_at.(i) <- (if has_data i then Sched.now () else -1);
+        restart_clock t i ~more:(has_data i);
         Sched.yield ();
         loop ()
-      | None when ripe_by_fill <> [] ->
-        (* Every ripe vlog's ring is full: poll by advancing so Reproduce
-           gets simulated time to checkpoint and recycle (a predicate wait
-           here could spin without advancing the clock). *)
-        Sched.advance poll_step;
-        loop ()
       | None ->
-        if t.stop_flag && not (List.exists has_data mine) then ()
-        else if List.exists has_data mine then begin
-          (* An open batch below the bound: age it toward the deadline. *)
-          Sched.advance poll_step;
-          loop ()
-        end
-        else begin
-          Sched.wait_until ~label:"persist: waiting for logs" (fun () ->
-              t.stop_flag || List.exists has_data mine);
-          Sched.yield ();
+        let open_batch = List.exists has_data mine in
+        if not (t.stop_flag && not open_batch) then begin
+          idle t ~open_batch ~woken;
           loop ()
         end
     in
     loop ()
 
-  (* Combined mode is a two-stage pipeline over two daemons:
+  (* -- combined policy ------------------------------------------------- *)
 
-       combiner ("persist-0")      merges all volatile logs into batches of
-                                   up to [group_size] transactions in
-                                   global ID order, combines (and
-                                   optionally compresses) each batch and
-                                   seals it onto [t.prepared];
-       flusher  ("persist-flush")  pops sealed batches and writes each as
-                                   one record to ring 0, publishing the
-                                   durable IDs when the persist completes.
-
-     The combiner's CPU work on batch [k+1] (merge, last-write-wins
-     combine, CRC/encode, compression) genuinely overlaps batch [k]'s NVM
-     channel occupancy because the two stages run on different simulated
-     threads.  [t.prepared] is bounded: a deep pipeline would only grow
-     the window of sealed-but-unflushed (hence volatile) acknowledged-by
-     -nobody work without adding overlap. *)
+  (* [t.prepared] is bounded: a deeper pipeline would only widen the window
+     of sealed-but-unflushed work without adding overlap. *)
   let max_prepared = 2
 
+  (* Move every committed transaction out of the volatile logs into
+     [t.staging], keyed by ID and flagged when it carries a cross-shard
+     fragment. *)
+  let stage_vlogs t =
+    Array.iter
+      (fun vlog ->
+        let hd = Vlog.head vlog and cm = Vlog.committed vlog in
+        if cm > hd then begin
+          List.iter
+            (fun (tx : Redo.item) ->
+              Hashtbl.replace t.staging tx.lo (tx.entries, Redo.max_gtid tx > 0))
+            (Redo.txs (List.init (cm - hd) (fun k -> Vlog.get vlog (hd + k))));
+          Vlog.consume_to vlog cm
+        end)
+      t.vlogs
+
+  (* The open group: how many consecutive staged IDs from [t.next_flush] it
+     holds, and whether it is full — at [group_size], ended by the next
+     transaction's fragment, or itself a lone fragment. *)
+  let rec open_group t n =
+    if n = t.cfg.Config.group_size then (n, true)
+    else
+      match Hashtbl.find_opt t.staging (t.next_flush + n) with
+      | None -> (n, false)
+      | Some (_, fragment) -> if fragment then (max n 1, true) else open_group t (n + 1)
+
+  (* Cut the open group's [n] transactions, seal them and hand the batch
+     to the flusher. *)
+  let seal_group t n =
+    Trace.span ~cat:"persist" "batch" (fun () ->
+        let lo = t.next_flush in
+        let b =
+          seal t (List.concat (List.init n (fun k -> fst (Hashtbl.find t.staging (lo + k)))))
+        in
+        Queue.push b t.prepared;
+        for tid = lo to lo + n - 1 do
+          Hashtbl.remove t.staging tid
+        done;
+        t.next_flush <- lo + n;
+        restart_clock t 0 ~more:(Hashtbl.mem t.staging t.next_flush))
+
   let persist_combined_loop t =
-    let staging = t.staging in
-    let builder = Combine.builder () in
-    let drain_vlogs () =
-      Array.iter
-        (fun vlog ->
-          let hd = Vlog.head vlog and cm = Vlog.committed vlog in
-          if cm > hd then begin
-            let entries = List.init (cm - hd) (fun k -> Vlog.get vlog (hd + k)) in
-            List.iter
-              (fun (tx : Redo.item) -> Hashtbl.replace staging tx.lo tx.entries)
-              (Redo.txs entries);
-            Vlog.consume_to vlog cm
-          end)
-        t.vlogs
+    let woken () =
+      t.stop_flag || t.draining
+      || Array.exists (fun v -> Vlog.committed v > Vlog.head v) t.vlogs
     in
-    let contiguous () =
-      let n = ref 0 in
-      while Hashtbl.mem staging (t.next_flush + !n) do
-        incr n
-      done;
-      !n
-    in
-    let seal_batch take =
-      Trace.span ~cat:"persist" "batch" (fun () ->
-          let lo = t.next_flush in
-          let hi = lo + take - 1 in
-          let overlapping = t.flush_started_at >= 0 in
-          let combined, cstats =
-            Trace.span ~cat:"persist" "combine" (fun () ->
-                List.iter
-                  (fun tid -> Combine.feed_list builder (Hashtbl.find staging tid))
-                  (List.init take (fun k -> lo + k));
-                let r = Combine.seal builder in
-                Sched.advance (flush_cost_per_entry * (snd r).Combine.entries_in);
-                r)
-          in
-          Stats.add t.stats "combine_writes_in" cstats.Combine.writes_in;
-          Stats.add t.stats "combine_writes_out" cstats.Combine.writes_out;
-          stat_max t.stats "batch_hwm_entries" cstats.Combine.entries_in;
-          let payload =
-            if t.cfg.Config.compress then
-              Trace.span ~cat:"persist" "compress" (fun () ->
-                  let body = Log_entry.encode_list combined in
-                  Sched.advance
-                    (int_of_float
-                       (float_of_int (Bytes.length body)
-                       *. compress_cost_per_byte));
-                  let comp = Lz.compress body in
-                  Stats.add t.stats "compress_in_bytes" (Bytes.length body);
-                  Stats.add t.stats "compress_out_bytes" (Bytes.length comp);
-                  Log_entry.encode_payload ~compress:true combined)
-            else Log_entry.encode_payload combined
-          in
-          let need = Plog.record_overhead + Bytes.length payload in
-          if need > Plog.data_capacity t.plogs.(0) then
-            invalid_arg "Dudetm: combined group exceeds the persistent log ring";
-          (* This seal ran while the flusher held the channel: the cycles
-             spent combining were hidden behind batch [k]'s transfer. *)
-          if overlapping && t.flush_started_at >= 0 then begin
-            let hidden = Sched.now () - t.flush_started_at in
-            if hidden > 0 then begin
-              Stats.add t.stats "pipe_overlap_cycles" hidden;
-              Trace.instant ~cat:"persist" "pipe_overlap" hidden
-            end
-          end;
-          Queue.push { pb_entries = combined; pb_payload = payload } t.prepared;
-          List.iter (fun k -> Hashtbl.remove staging (lo + k)) (List.init take (fun k -> k));
-          (* Seeded mutant (checker self-test only): acknowledge the batch
-             at seal time — its record has not reached NVM, so a crash in
-             the pipeline window loses acknowledged transactions. *)
-          if t.cfg.Config.fault = Config.Skip_batch_seal then
-            note_flushed t (Redo.items t.cfg combined);
-          t.next_flush <- hi + 1;
-          t.staged_open_at <- -1)
-    in
-    let deadline = t.cfg.Config.batch_deadline in
-    let poll_step = max 1 (deadline / 4) in
     let rec loop () =
       maybe_fault t "persist";
-      drain_vlogs ();
-      let avail = contiguous () in
+      stage_vlogs t;
+      let n, full = open_group t 0 in
       let now = Sched.now () in
-      if avail > 0 then begin
-        if t.staged_open_at < 0 then t.staged_open_at <- now
-      end
-      else t.staged_open_at <- -1;
-      let deadline_hit =
-        avail > 0 && t.staged_open_at >= 0 && now - t.staged_open_at >= deadline
-      in
-      let waiter_hit = avail > 0 && t.durable_waiters > 0 in
-      let tail_hit =
-        (t.draining || t.stop_flag) && avail > 0 && last_tid t < t.next_flush + avail
-      in
+      open_clock t 0 ~fill:n ~now;
       if Queue.length t.prepared >= max_prepared then begin
         Sched.wait_until ~label:"persist: pipeline full" (fun () ->
             Queue.length t.prepared < max_prepared || t.stop_flag);
         Sched.yield ();
         loop ()
       end
-      else if avail >= t.cfg.Config.group_size then begin
-        Stats.incr t.stats "batch_size_flushes";
-        seal_batch t.cfg.Config.group_size;
-        loop ()
-      end
-      else if deadline_hit || waiter_hit || tail_hit then begin
-        (* Short batch: the deadline expired, a caller is blocked on
-           durability, or this is the tail of the run. *)
-        Stats.incr t.stats
-          (if tail_hit && not (deadline_hit || waiter_hit) then "batch_drain_flushes"
-           else "batch_deadline_flushes");
-        seal_batch avail;
-        loop ()
-      end
-      else if t.stop_flag && avail = 0 && Hashtbl.length staging = 0 then
-        t.combiner_done <- true
-      else if avail > 0 then begin
-        (* An open batch below the group size: age it toward the deadline
-           by advancing simulated time (a time-based wait_until predicate
-           would deadlock the scheduler). *)
-        Sched.advance poll_step;
-        loop ()
-      end
-      else begin
-        Sched.wait_until ~label:"persist: waiting for group" (fun () ->
-            t.stop_flag || t.draining
-            || Array.exists (fun v -> Vlog.committed v > Vlog.head v) t.vlogs);
-        Sched.yield ();
-        loop ()
-      end
+      else
+        match cut_reason t 0 ~fill:n ~full ~now ~tail:(last_tid t < t.next_flush + n) with
+        | Some reason ->
+          Stats.incr t.stats reason;
+          seal_group t n;
+          loop ()
+        | None when t.stop_flag && n = 0 && Hashtbl.length t.staging = 0 ->
+          t.combiner_done <- true
+        | None ->
+          idle t ~open_batch:(n > 0) ~woken;
+          loop ()
     in
     loop ()
 
-  (* Pipeline stage 2: write sealed batches to NVM and publish durability
-     per batch.  All in-flight state is the popped batch itself; popping
-     happens after the fault point, so a supervised restart never loses or
-     duplicates a record. *)
+  (* All of the flusher's in-flight state is the popped batch itself;
+     popping happens after the fault point, so a supervised restart never
+     loses or duplicates a record. *)
   let persist_flush_loop t =
     let rec loop () =
       maybe_fault t "persist-flush";
       if not (Queue.is_empty t.prepared) then begin
-        let pb = Queue.pop t.prepared in
-        let need = Plog.record_overhead + Bytes.length pb.pb_payload in
-        Sched.wait_until ~label:"plog space (combined)" (fun () ->
-            Plog.free_space t.plogs.(0) >= need);
-        t.flush_started_at <- Sched.now ();
-        let record =
-          Trace.span ~cat:"persist" "flush" (fun () ->
-              Plog.append
-                ~persist:(t.cfg.Config.fault <> Config.Early_durable_publish)
-                t.plogs.(0) pb.pb_payload)
-        in
-        note_drain_pace t ~entries:(List.length pb.pb_entries)
-          ~cycles:(Sched.now () - t.flush_started_at);
-        t.flush_started_at <- -1;
-        publish t ~region:0 (Redo.items t.cfg pb.pb_entries) ~payload:pb.pb_payload record;
+        flush t ~region:0 (Queue.pop t.prepared);
         loop ()
       end
-      else if t.stop_flag && t.combiner_done then ()
-      else begin
+      else if not (t.stop_flag && t.combiner_done) then begin
         Sched.wait_until ~label:"flush: waiting for sealed batch" (fun () ->
             (not (Queue.is_empty t.prepared)) || (t.stop_flag && t.combiner_done));
         Sched.yield ();
@@ -1036,8 +989,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   (* A follower runs no Perform and no Persist: the primary's Persist
      daemon already produced the sealed record, so ingesting one is just
-     the flusher's tail — append the exact shipped payload to ring 0 and
-     [publish] it.  The follower's ring therefore holds byte-identical
+     the flush stage's tail — append the exact shipped payload to ring 0
+     and [publish] it.  The follower's ring therefore holds byte-identical
      records at the same sequence numbers as the primary's ring 0, which
      is what makes promotion plain [attach] recovery. *)
   let ingest_record t payload =
@@ -1343,7 +1296,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         unpin_all dtx;
         (match t.cfg.Config.mode with
         | Config.Sync ->
-          ignore (flush_thread t thread ~wait_space:true);
+          ignore (cut_vlog t thread ~wait:true);
           Trace.span_begin ~cat:"perform" "sync_wait";
           wait_durable t tid;
           Trace.span_end ~cat:"perform" "sync_wait"

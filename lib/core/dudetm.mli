@@ -19,7 +19,8 @@
     Dirty volatile data is never written to NVM home locations directly;
     the redo log is the only channel, so CPU-cache evictions of shadow data
     can never break crash consistency.  Every persisted record takes one
-    path ({!Redo}): both Persist flushers and follower ingest publish it
+    path ({!Redo}): the Persist pipeline's one flush stage (under either
+    cut policy, plain or combined) and follower ingest publish it
     through one function, Reproduce and recovery apply it with
     {!Redo.apply}, one replay gate ({!Make.set_replay_gate}) decides when
     Reproduce may apply it, and recovery and the offline scrub agree on

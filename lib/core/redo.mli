@@ -20,7 +20,10 @@ type item = {
   entries : Dudetm_log.Log_entry.t list;  (** redo entries, end marks included *)
 }
 (** A unit of Reproduce work: one transaction of a plain record, or one
-    whole combined record, covering the contiguous IDs [lo..hi]. *)
+    whole combined record, covering the contiguous IDs [lo..hi].  A
+    combined record that carries a cross-shard fragment holds only that
+    transaction, so gating or discarding its item never touches a
+    neighbour. *)
 
 val txs : Dudetm_log.Log_entry.t list -> item list
 (** Split a committed entry run into one item per transaction, in log
@@ -29,7 +32,11 @@ val txs : Dudetm_log.Log_entry.t list -> item list
 val items : Config.t -> Dudetm_log.Log_entry.t list -> item list
 (** Record → replay items: one item per transaction on plain rings, one
     item per record when [combine] (a combined record is replayed
-    atomically).  Empty for a record carrying no transaction. *)
+    atomically).  The shard replay gate ({!max_gtid}) and the recovery
+    vote therefore act only at record boundaries, which is why the
+    combined Persist cut seals every transaction with a [Cross] entry
+    alone: such a record's item is exactly that one fragment.  Empty for a
+    record carrying no transaction. *)
 
 val span : item list -> (int * int) option
 (** Lowest and highest transaction ID the items cover ([None] when

@@ -19,7 +19,13 @@
    Gating on GF rather than on the fragment's own set matters: with three
    regions, an incomplete set g' below a complete set g on a shared region
    would otherwise cut an already-acknowledged g out of the durable prefix
-   during recovery. *)
+   during recovery.
+
+   The gate and the vote see replay items, and a combined persist record
+   is one item.  Under combined group commit the engine's Persist cut
+   therefore seals every fragment in a record of its own, so holding back
+   or discarding a fragment never takes a neighbouring transaction with
+   it; any [group_size] is sound. *)
 
 module Sched = Dudetm_sim.Sched
 module Stats = Dudetm_sim.Stats

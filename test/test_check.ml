@@ -64,8 +64,12 @@ let matrix =
     ( "skip recovery journal", Config.Skip_recovery_journal, Recovery, [],
       "dudetm check --recovery --mutate skip-recovery-journal --leg attach --crash2 7" );
     ( "skip fragment gate", Config.Skip_fragment_gate, Shards, [],
-      "dudetm check --shards --mutate skip-fragment-gate --shard-count 3 --txs 10 --crash-at \
-       169" );
+      "dudetm check --shards --mutate skip-fragment-gate --shard-count 3 --txs 10 --scenario \
+       plain --crash-at 169" );
+    ( "skip fragment gate (combined)", Config.Skip_fragment_gate, Shards,
+      [ ("--scenario", "combined") ],
+      "dudetm check --shards --mutate skip-fragment-gate --shard-count 3 --txs 10 --scenario \
+       combined --crash-at 112" );
     ( "skip batch seal", Config.Skip_batch_seal, Batch, [],
       "dudetm check --batch --mutate skip-batch-seal --txs 12 --crash-at 1" );
     ( "skip quorum gate", Config.Skip_quorum_gate, Replica, [],

@@ -374,6 +374,52 @@ let prop_effective_vector_monotone =
              Sh.stop sh));
       !samples > 0)
 
+(* A combined record replays as one item, so the replay gate and the
+   recovery vote act only at record boundaries: every record that carries
+   a cross-shard fragment must hold that one transaction and nothing
+   else.  Three concurrent workers mix fragments and single-shard bumps
+   into the same combined groups; every record each shard appends to its
+   ring is decoded as the Persist step publishes it. *)
+let test_combined_fragment_sealed_alone () =
+  let nshards = 3 and workers = 3 in
+  let sh = Sh.create ~nshards { (small_cfg ~combine:true ()) with Config.group_size = 4 } in
+  let records = ref [] in
+  for s = 0 to nshards - 1 do
+    Sh.Engine.set_ship_hook (Sh.engine sh s)
+      (Some (fun r -> records := r.Dudetm_core.Dudetm.ship_payload :: !records))
+  done;
+  ignore
+    (Sched.run (fun () ->
+         Sh.start sh;
+         seed_shards sh nshards;
+         let finished = ref 0 in
+         for w = 0 to workers - 1 do
+           ignore
+             (Sched.spawn (Printf.sprintf "worker-%d" w) (fun () ->
+                  for j = 1 to 10 do
+                    let k = (w * 10) + j in
+                    let a = k mod nshards and b = (k + 1) mod nshards in
+                    ignore (bump sh ~thread:w b);
+                    ignore (transfer sh ~thread:w ~a ~b ~stamp:k 5L)
+                  done;
+                  incr finished))
+         done;
+         Sched.wait_until (fun () -> !finished = workers);
+         Sh.stop sh));
+  verify_state ~nshards sh;
+  let module E = Dudetm_log.Log_entry in
+  let fragments = ref 0 in
+  List.iter
+    (fun payload ->
+      let entries = E.decode_payload payload in
+      if List.exists (function E.Cross _ -> true | _ -> false) entries then begin
+        incr fragments;
+        check Alcotest.int "transactions in a fragment's record" 1
+          (List.length (List.filter (function E.Tx_end _ -> true | _ -> false) entries))
+      end)
+    !records;
+  check Alcotest.int "every fragment sealed" (2 * workers * 10) !fragments
+
 let suite =
   [
     Alcotest.test_case "basic cross-shard commit" `Quick test_basic_commit;
@@ -382,6 +428,8 @@ let suite =
     Alcotest.test_case "undeclared shard rejected" `Quick test_undeclared_shard_rejected;
     Alcotest.test_case "crash all-or-nothing" `Slow test_crash_all_or_nothing;
     Alcotest.test_case "recover and continue" `Slow test_recover_and_continue;
+    Alcotest.test_case "combined: a fragment is sealed alone" `Quick
+      test_combined_fragment_sealed_alone;
     QCheck_alcotest.to_alcotest prop_watermark_matches_fold;
     QCheck_alcotest.to_alcotest prop_effective_vector_monotone;
   ]
