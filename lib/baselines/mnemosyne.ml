@@ -100,9 +100,8 @@ let create cfg =
 let validate tx =
   List.for_all
     (fun (stripe, v) ->
-      match Lock_table.read_word tx.m.locks stripe with
-      | Lock_table.Version cur -> cur = v
-      | Lock_table.Owned uid -> uid = tx.uid)
+      let w = Lock_table.word tx.m.locks stripe in
+      if Lock_table.owned w then Lock_table.value w = tx.uid else Lock_table.value w = v)
     tx.reads
 
 let conflict tx =
@@ -119,9 +118,10 @@ let mread tx addr =
   | Some v -> v
   | None -> (
     let stripe = Lock_table.stripe_of_addr tx.m.locks addr in
-    match Lock_table.read_word tx.m.locks stripe with
-    | Lock_table.Owned _ -> conflict tx
-    | Lock_table.Version v ->
+    let w = Lock_table.word tx.m.locks stripe in
+    if Lock_table.owned w then conflict tx
+    else
+      let v = Lock_table.value w in
       let value = Nvm.load_u64 tx.m.nvm addr in
       if v > tx.rv then
         if validate tx then tx.rv <- tx.m.clock else conflict tx;
@@ -192,9 +192,9 @@ let commit tx =
           match List.assoc_opt stripe !acquired with
           | Some prev -> prev = v
           | None -> (
-            match Lock_table.read_word t.locks stripe with
-            | Lock_table.Version cur -> cur = v
-            | Lock_table.Owned uid -> uid = tx.uid))
+            let w = Lock_table.word t.locks stripe in
+            if Lock_table.owned w then Lock_table.value w = tx.uid
+            else Lock_table.value w = v))
         tx.reads
     in
     if (not ok) || not (validate_locked ()) then begin

@@ -71,9 +71,7 @@ let acquire_locks t ~uid stripes =
   List.map
     (fun stripe ->
       Sched.wait_until ~label:"nvml lock" (fun () ->
-          match Lock_table.read_word t.locks stripe with
-          | Lock_table.Version _ -> true
-          | Lock_table.Owned _ -> false);
+          not (Lock_table.owned (Lock_table.word t.locks stripe)));
       match Lock_table.acquire t.locks ~stripe ~uid with
       | Some prev -> (stripe, prev)
       | None -> assert false)

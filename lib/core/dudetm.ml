@@ -134,6 +134,15 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     mutable stop_flag : bool;
     mutable draining : bool;
     mutable started : bool;
+    (* Wake stamps ({!Sched.bell}) of the daemons' and callers' waits.  The
+       durability bell rings when the durable ID, the replay queues, the
+       replay gate's or the snapshot watermark's inputs or the stop/drain
+       flags change; it gates [wait_durable], Reproduce and durable
+       snapshot pins, and a sharding layer shares one among its engines.
+       The work bell rings when Persist has work: a commit, a sealed
+       batch pushed or popped, the combiner's exit, stop/drain. *)
+    mutable durability_bell : Sched.bell;
+    work_bell : Sched.bell;
     stats : Stats.t;
     log_entries : Stats.cell;  (* resolved once: bumped per logged write *)
   }
@@ -226,6 +235,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       stop_flag = false;
       draining = false;
       started = false;
+      durability_bell = Sched.bell ();
+      work_bell = Sched.bell ();
       stats;
       log_entries = Stats.counter stats "log_entries";
     }
@@ -331,7 +342,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     while Hashtbl.mem t.flushed_set (t.durable + 1) do
       Hashtbl.remove t.flushed_set (t.durable + 1);
       t.durable <- t.durable + 1
-    done
+    done;
+    Sched.ring t.durability_bell
 
   let durable_id t = t.durable
 
@@ -347,12 +359,16 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       t.durable_waiters <- t.durable_waiters + 1;
       Fun.protect
         ~finally:(fun () -> t.durable_waiters <- t.durable_waiters - 1)
-        (fun () -> Sched.wait_until ~label:"durable id" (fun () -> t.durable >= tid))
+        (fun () ->
+          Sched.wait_until ~on:t.durability_bell ~label:"durable id" (fun () ->
+              t.durable >= tid))
     end
 
   let cross_frontier t = !(t.cross_frontier)
 
-  let set_ro_watermark t wm = t.ro_watermark <- wm
+  let set_ro_watermark t wm =
+    t.ro_watermark <- wm;
+    Sched.ring t.durability_bell
 
   let set_drain_context t f = t.drain_context <- f
 
@@ -364,7 +380,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let set_ship_hook t hook = t.ship_hook <- hook
 
-  let set_replay_gate t gate = t.replay_gate <- gate
+  let set_replay_gate t gate =
+    t.replay_gate <- gate;
+    Sched.ring t.durability_bell
+
+  let durability_bell t = t.durability_bell
+
+  let set_durability_bell t b = t.durability_bell <- b
 
   let rec queue_headed queues target i =
     if i = Array.length queues then -1
@@ -513,7 +535,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let idle t ~open_batch ~woken =
     if open_batch then Sched.advance (max 1 (t.cfg.Config.batch_deadline / 4))
     else begin
-      Sched.wait_until ~label:"persist: waiting for logs" woken;
+      Sched.wait_until ~on:t.work_bell ~label:"persist: waiting for logs" woken;
       Sched.yield ()
     end
 
@@ -724,6 +746,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           seal t (List.concat (List.init n (fun k -> fst (Hashtbl.find t.staging (lo + k)))))
         in
         Queue.push b t.prepared;
+        Sched.ring t.work_bell;
         for tid = lo to lo + n - 1 do
           Hashtbl.remove t.staging tid
         done;
@@ -742,7 +765,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       let now = Sched.now () in
       open_clock t 0 ~fill:n ~now;
       if Queue.length t.prepared >= max_prepared then begin
-        Sched.wait_until ~label:"persist: pipeline full" (fun () ->
+        Sched.wait_until ~on:t.work_bell ~label:"persist: pipeline full" (fun () ->
             Queue.length t.prepared < max_prepared || t.stop_flag);
         Sched.yield ();
         loop ()
@@ -754,7 +777,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           seal_group t n;
           loop ()
         | None when t.stop_flag && n = 0 && Hashtbl.length t.staging = 0 ->
-          t.combiner_done <- true
+          t.combiner_done <- true;
+          Sched.ring t.work_bell
         | None ->
           idle t ~open_batch:(n > 0) ~woken;
           loop ()
@@ -768,11 +792,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let rec loop () =
       maybe_fault t "persist-flush";
       if not (Queue.is_empty t.prepared) then begin
-        flush t ~region:0 (Queue.pop t.prepared);
+        let b = Queue.pop t.prepared in
+        Sched.ring t.work_bell;
+        flush t ~region:0 b;
         loop ()
       end
       else if not (t.stop_flag && t.combiner_done) then begin
-        Sched.wait_until ~label:"flush: waiting for sealed batch" (fun () ->
+        Sched.wait_until ~on:t.work_bell ~label:"flush: waiting for sealed batch" (fun () ->
             (not (Queue.is_empty t.prepared)) || (t.stop_flag && t.combiner_done));
         Sched.yield ();
         loop ()
@@ -887,7 +913,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         if t.pending_recycle <> [] || t.checkpointed < t.persisted_data then do_checkpoint t
       end
       else begin
-        Sched.wait_until ~label:"reproduce: waiting for durable" (fun () ->
+        Sched.wait_until ~on:t.durability_bell ~label:"reproduce: waiting for durable" (fun () ->
             t.stop_flag
             || can_apply t
             || (t.pending_recycle <> [] && plog_pressure t));
@@ -962,10 +988,16 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      persist daemon only flushes a partial trailing group once draining is
      set, and a cross-shard replay gate on one region can require exactly
      that trailing flush on a sibling. *)
-  let begin_drain t = t.draining <- true
+  let ring_all t =
+    Sched.ring t.durability_bell;
+    Sched.ring t.work_bell
+
+  let begin_drain t =
+    t.draining <- true;
+    ring_all t
 
   let drain t =
-    t.draining <- true;
+    begin_drain t;
     let deadline = Sched.global_now () + t.cfg.Config.drain_budget in
     let drained () =
       let last = last_tid t in
@@ -981,7 +1013,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
 
   let stop t =
     drain t;
-    t.stop_flag <- true
+    t.stop_flag <- true;
+    ring_all t
 
   (* ------------------------------------------------------------------ *)
   (* Follower mode (replicated durability, lib/replica)                  *)
@@ -1025,7 +1058,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      the Reproduce daemon to checkpoint what is applied and exit. *)
   let stop_follower t =
     t.draining <- true;
-    t.stop_flag <- true
+    t.stop_flag <- true;
+    ring_all t
 
   (* ------------------------------------------------------------------ *)
   (* Perform step: the transaction API                                   *)
@@ -1289,6 +1323,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         | Some (gtid, mask) -> Vlog.append vlog (Log_entry.Cross { gtid; mask; tid })
         | None -> ());
         Vlog.append_end vlog ~tid;
+        Sched.ring t.work_bell;
         (match t.view with
         | Flat _ -> ()
         | Paged sh ->
@@ -1342,7 +1377,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       attempt := None
     in
     match
-      Tm.run_ro ?pin ~validate_extension ~on_retry:cleanup t.tm (fun ro ->
+      Tm.run_ro ?pin ~pin_bell:t.durability_bell ~validate_extension ~on_retry:cleanup t.tm
+        (fun ro ->
           let dtx =
             {
               t;

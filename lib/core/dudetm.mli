@@ -274,6 +274,22 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) : sig
       predicate must be pure — it runs inside scheduler wait conditions.
       [None] (the default) removes it. *)
 
+  val durability_bell : t -> Dudetm_sim.Sched.bell
+  (** The bell ({!Dudetm_sim.Sched.bell}) Reproduce, {!wait_durable} and
+      durable-only snapshot pins wait on.  The engine rings it whenever
+      the durable ID, the replay queues, the installed replay gate or
+      snapshot watermark, or the stop/drain flags change.  A layer whose
+      replay gate or snapshot watermark reads state of its own must ring
+      it on every write to that state (the sharding layer on a frontier
+      seal or restart; the replication layer when it raises a
+      follower's acked watermark or the quorum watermark). *)
+
+  val set_durability_bell : t -> Dudetm_sim.Sched.bell -> unit
+  (** Replace the durability bell before {!start}: the sharding layer
+      shares one bell among its engines, since each engine's replay gate
+      and each shard-level durability wait read every engine's durable
+      ID. *)
+
   (** {1 Cross-shard transactions (sharding layer hooks)} *)
 
   val seal_cross : tx -> gtid:int -> mask:int -> unit

@@ -175,6 +175,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     in
     if wm > t.acked_watermark then begin
       t.acked_watermark <- wm;
+      (* The primary's durable-only snapshots pin at this watermark. *)
+      Sched.ring (Engine.durability_bell t.prim);
       Trace.instant ~cat:"replica" "ack" wm
     end;
     if t.degraded <> None && t.acked_watermark >= d then t.degraded <- None;
@@ -398,14 +400,20 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         pump t r
       | None -> ())
 
+  (* The follower's replay gate reads [known_acked]: wake its Reproduce. *)
+  let raise_known_acked r acked =
+    if acked > !(r.known_acked) then begin
+      r.known_acked := acked;
+      Sched.ring (Engine.durability_bell r.eng)
+    end
+
   let on_frame t r b =
     match Wire.decode b with
     | None -> Stats.incr t.stats "crc_rejected"
-    | Some (Wire.Watermark { acked }) ->
-      if acked > !(r.known_acked) then r.known_acked := acked
+    | Some (Wire.Watermark { acked }) -> raise_known_acked r acked
     | Some (Wire.Ack _) -> ()
     | Some (Wire.Batch { seq; lo; hi; acked; payload }) ->
-      if acked > !(r.known_acked) then r.known_acked := acked;
+      raise_known_acked r acked;
       let d = Engine.durable_id r.eng in
       if hi <= d then begin
         (* Dedup by batch sequence: already sealed here; re-ack so a lost

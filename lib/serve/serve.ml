@@ -106,6 +106,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     queues : desc Queue.t array array;
     (* pending.(shard): committed writes awaiting the durable watermark *)
     pending : (desc * Sh.ack) Queue.t array;
+    (* Per shard: rung on a push to its queues (and on [stopping]), and on
+       a push to its pending acks — the dispatchers' and the acker's
+       wake stamps. *)
+    queued_bell : Sched.bell array;
+    pending_bell : Sched.bell array;
     mutable depth : int;  (* total queued (accepted, undispatched) *)
     mutable depth_hwm : int;
     mutable in_flight : int;  (* accepted and not yet replied *)
@@ -138,6 +143,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
           Array.init nshards (fun _ ->
               Array.init ntenants (fun _ -> Queue.create ()));
         pending = Array.init nshards (fun _ -> Queue.create ());
+        queued_bell = Array.init nshards (fun _ -> Sched.bell ());
+        pending_bell = Array.init nshards (fun _ -> Sched.bell ());
         depth = 0;
         depth_hwm = 0;
         in_flight = 0;
@@ -241,6 +248,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     else begin
       d.owner <- By_pipeline;
       Queue.push d t.queues.(shard).(d.tenant);
+      Sched.ring t.queued_bell.(shard);
       t.depth <- t.depth + 1;
       if t.depth > t.depth_hwm then t.depth_hwm <- t.depth;
       t.in_flight <- t.in_flight + 1;
@@ -287,7 +295,9 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         else (
           match ack with
           | Sh.Ack_read_only -> finish t d (executed_of shard ack)
-          | ack -> Queue.push (d, ack) t.pending.(shard))
+          | ack ->
+            Queue.push (d, ack) t.pending.(shard);
+            Sched.ring t.pending_bell.(shard))
       | None -> finish t d R_aborted));
     Trace.span_end ~cat:"serve" "dispatch"
 
@@ -305,7 +315,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     let deficit = Array.make t.ntenants 0 in
     while not t.stopping do
       if shard_depth t shard = 0 then
-        Sched.wait_until ~label:"serve dispatch" (fun () ->
+        Sched.wait_until ~on:t.queued_bell.(shard) ~label:"serve dispatch" (fun () ->
             t.stopping || shard_depth t shard > 0)
       else begin
         let progressed = ref false in
@@ -332,7 +342,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      so the pending queue is already sorted and each wait is monotone. *)
   let acker t ~shard () =
     while true do
-      Sched.wait_until ~label:"serve ack" (fun () ->
+      Sched.wait_until ~on:t.pending_bell.(shard) ~label:"serve ack" (fun () ->
           not (Queue.is_empty t.pending.(shard)));
       let d, ack = Queue.peek t.pending.(shard) in
       Sh.wait_durable t.sh ack;
@@ -370,6 +380,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let stop t =
     drain t;
     t.stopping <- true;
+    Array.iter Sched.ring t.queued_bell;
     Sh.stop t.sh
 
   (* -------------------------- sessions ------------------------------ *)

@@ -20,9 +20,7 @@ let pages t = Array.length t.page_to_frame
 
 let frames t = Array.length t.frame_to_page
 
-let frame_of t page =
-  let f = t.page_to_frame.(page) in
-  if f < 0 then None else Some f
+let frame_index t page = t.page_to_frame.(page)
 
 let page_of_frame t frame =
   let p = t.frame_to_page.(frame) in

@@ -12,8 +12,10 @@ val pages : t -> int
 
 val frames : t -> int
 
-val frame_of : t -> int -> int option
-(** [frame_of t page] is the frame backing [page], if resident. *)
+val frame_index : t -> int -> int
+(** [frame_index t page] is the frame backing [page], or [-1] if it is not
+    resident.  Allocates nothing: every shadow access translates through
+    it. *)
 
 val page_of_frame : t -> int -> int option
 

@@ -96,9 +96,9 @@ let fault_in t page =
   in
   Sched.advance (trap + copy_cost t);
   let rec acquire () =
-    match Page_table.frame_of t.pt page with
-    | Some frame -> frame  (* a peer faulted it in while we yielded *)
-    | None ->
+    let frame = Page_table.frame_index t.pt page in
+    if frame >= 0 then frame  (* a peer faulted it in while we yielded *)
+    else
       if t.touching_id.(page) > t.applied_id () then begin
         (* Reproduce has not yet applied the last transaction that wrote
            this page: loading it from NVM now would resurrect stale data. *)
@@ -127,7 +127,8 @@ let fault_in t page =
   acquire ()
 
 let frame_for t page =
-  match Page_table.frame_of t.pt page with Some f -> f | None -> fault_in t page
+  let f = Page_table.frame_index t.pt page in
+  if f >= 0 then f else fault_in t page
 
 let translate t addr =
   if t.cfg.mode = Software then Sched.advance t.cfg.sw_access_cost;
@@ -147,11 +148,10 @@ let pin t addr =
 
 let unpin t addr =
   let page = page_of t addr in
-  match Page_table.frame_of t.pt page with
-  | Some frame ->
-    if t.refcount.(frame) <= 0 then invalid_arg "Shadow.unpin: not pinned";
-    t.refcount.(frame) <- t.refcount.(frame) - 1
-  | None -> invalid_arg "Shadow.unpin: page not resident"
+  let frame = Page_table.frame_index t.pt page in
+  if frame < 0 then invalid_arg "Shadow.unpin: page not resident";
+  if t.refcount.(frame) <= 0 then invalid_arg "Shadow.unpin: not pinned";
+  t.refcount.(frame) <- t.refcount.(frame) - 1
 
 let pinned_pages t = Array.fold_left (fun acc r -> if r > 0 then acc + 1 else acc) 0 t.refcount
 
@@ -173,15 +173,13 @@ let clear t =
 let preload_all t =
   if t.cfg.frames < t.npages then invalid_arg "Shadow.preload_all: shadow smaller than NVM";
   for page = 0 to t.npages - 1 do
-    match Page_table.frame_of t.pt page with
-    | Some _ -> ()
-    | None -> (
+    if Page_table.frame_index t.pt page < 0 then
       match Page_table.free_frame t.pt with
       | Some frame ->
         Mem.set_bytes t.dram (frame * t.page_size)
           (Nvm.load_bytes t.nvm (page * t.page_size) t.page_size);
         Page_table.map t.pt ~page ~frame
-      | None -> assert false)
+      | None -> assert false
   done
 
 let stats t = t.stats

@@ -51,6 +51,12 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
     active : int array;  (* in-flight single-shard transactions *)
     mutable cross_lock : bool;
     gf : Frontier.t;  (* sibling sets, the global frontier, the vector watermark *)
+    durable_bell : Sched.bell;
+        (* every engine's durability bell, also rung on a frontier seal or
+           restart: gates the replay gates, the acks and the snapshot pins.
+           A draw only adds a Pending set, which makes nothing durable, so
+           it need not ring. *)
+    lock_bell : Sched.bell;  (* rung on writes to [cross_lock], [blocked], [active] *)
     stats : Stats.t;
   }
 
@@ -95,6 +101,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       invalid_arg "Shard: nshards must be within [1, 60] (fragment masks are int bitsets)"
 
   let build cfg ~nshards engines =
+    let durable_bell = Sched.bell () in
+    Array.iter (fun e -> Engine.set_durability_bell e durable_bell) engines;
     let t =
       {
         cfg;
@@ -104,6 +112,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
         active = Array.make nshards 0;
         cross_lock = false;
         gf = Frontier.create ~nshards ~durable:(fun s -> Engine.durable_id engines.(s));
+        durable_bell;
+        lock_bell = Sched.bell ();
         stats = Stats.create ();
       }
     in
@@ -173,9 +183,13 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      the quiesce honest: a cross transaction proceeds only once every
      in-flight single-shard transaction on a touched region has finished. *)
   let run_single t ~thread s f =
-    Sched.wait_until ~label:"shard blocked" (fun () -> not t.blocked.(s));
+    Sched.wait_until ~on:t.lock_bell ~label:"shard blocked" (fun () -> not t.blocked.(s));
     t.active.(s) <- t.active.(s) + 1;
-    Fun.protect ~finally:(fun () -> t.active.(s) <- t.active.(s) - 1) @@ fun () ->
+    Fun.protect
+      ~finally:(fun () ->
+        t.active.(s) <- t.active.(s) - 1;
+        Sched.ring t.lock_bell)
+    @@ fun () ->
     let tx =
       { sh = t; dtxs = Array.make t.nshards None; shards_mask = 1 lsl s;
         written_mask = 0; gtid = 0 }
@@ -199,15 +213,16 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
      gtids stay dense and the frontier never waits on a hole. *)
   let run_cross t ~thread shards f =
     let mask = List.fold_left (fun m s -> m lor (1 lsl s)) 0 shards in
-    Sched.wait_until ~label:"shard cross lock" (fun () -> not t.cross_lock);
+    Sched.wait_until ~on:t.lock_bell ~label:"shard cross lock" (fun () -> not t.cross_lock);
     t.cross_lock <- true;
     List.iter (fun s -> t.blocked.(s) <- true) shards;
     Fun.protect
       ~finally:(fun () ->
         List.iter (fun s -> t.blocked.(s) <- false) shards;
-        t.cross_lock <- false)
+        t.cross_lock <- false;
+        Sched.ring t.lock_bell)
     @@ fun () ->
-    Sched.wait_until ~label:"shard quiesce"
+    Sched.wait_until ~on:t.lock_bell ~label:"shard quiesce"
       (fun () -> List.for_all (fun s -> t.active.(s) = 0) shards);
     Stats.incr t.stats "cross_txs";
     let tx =
@@ -253,7 +268,8 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
          and acknowledgement watermark) treated gtid as not-yet-durable. *)
       if tx.gtid > 0 then begin
         Frontier.seal t.gf tx.gtid
-          (List.filter (fun (s, _) -> tx.written_mask land (1 lsl s) <> 0) !frags)
+          (List.filter (fun (s, _) -> tx.written_mask land (1 lsl s) <> 0) !frags);
+        Sched.ring t.durable_bell
       end;
       let ack =
         if tx.gtid > 0 then Ack_cross { gtid = tx.gtid }
@@ -329,10 +345,11 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
   let wait_durable t = function
     | Ack_read_only -> ()
     | Ack_local { shard; tid } ->
-      Sched.wait_until ~label:"shard durable" (fun () -> Frontier.effective t.gf shard >= tid);
+      Sched.wait_until ~on:t.durable_bell ~label:"shard durable" (fun () ->
+          Frontier.effective t.gf shard >= tid);
       Frontier.advance t.gf
     | Ack_cross { gtid } ->
-      Sched.wait_until ~label:"shard cross durable" (fun () ->
+      Sched.wait_until ~on:t.durable_bell ~label:"shard cross durable" (fun () ->
           Frontier.pure_frontier t.gf >= gtid);
       Frontier.advance t.gf
 
@@ -436,6 +453,7 @@ module Make (Tm : Dudetm_tm.Tm_intf.S) = struct
       (fun fs -> List.iter (fun (g, _, _) -> maxg := max !maxg g) fs)
       (Array.map Engine.prepared_fragments preps);
     Frontier.restart t.gf !maxg;
+    Sched.ring t.durable_bell;
     let voted_cuts = Array.mapi (fun i c -> candidates.(i) - c) cuts in
     (t, { reports; voted_cuts; discarded_fragments = discarded })
 end

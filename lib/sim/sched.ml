@@ -1,11 +1,14 @@
 exception Deadlock of string
 exception Killed
+exception Missed_ring of string
+
+type bell = { mutable rung : int }
 
 module Trace = Dudetm_trace.Trace
 
 type _ Effect.t +=
   | Advance : int -> unit Effect.t
-  | Wait : (unit -> bool) * string -> unit Effect.t
+  | Wait : (unit -> bool) * string * bell -> unit Effect.t
   | Spawn : bool * string * (unit -> unit) -> int Effect.t
   | Now : int Effect.t
   | Self : (int * string) Effect.t
@@ -14,7 +17,12 @@ type state =
   | Not_started of (unit -> unit)
   | Running
   | Paused of (unit, unit) Effect.Deep.continuation
-  | Waiting of { pred : unit -> bool; label : string; k : (unit, unit) Effect.Deep.continuation }
+  | Waiting of {
+      pred : unit -> bool;
+      label : string;
+      on : bell;
+      k : (unit, unit) Effect.Deep.continuation;
+    }
   | Finished
 
 type thread = {
@@ -24,6 +32,7 @@ type thread = {
   mutable clock : int;
   mutable state : state;
   mutable blocked : bool;  (* Waiting, and its predicate was false at this step *)
+  mutable seen : int;  (* the bell's [rung] when the predicate last read false *)
 }
 
 type strategy =
@@ -64,7 +73,26 @@ let current : sched option ref = ref None
 (* Stand-in for "no thread": the empty slot of the heap and waiter arrays,
    and [cur] while the scheduler's own code runs. *)
 let nobody =
-  { id = -1; name = "<none>"; daemon = true; clock = max_int; state = Finished; blocked = false }
+  { id = -1; name = "<none>"; daemon = true; clock = max_int; state = Finished; blocked = false;
+    seen = 0 }
+
+(* The bell of a wait without [~on]: never consulted, the predicate is
+   polled every step. *)
+let unbelled = { rung = 0 }
+
+let bell () = { rung = 0 }
+
+let ring b = b.rung <- b.rung + 1
+
+(* The reference poll, for tests: re-evaluate every waiter a bell let
+   [poll] skip, and report the first whose predicate reads true. *)
+let auditing = ref false
+
+let first_miss : string option ref = ref None
+
+let missed label =
+  if !first_miss = None then first_miss := Some label;
+  raise (Missed_ring label)
 
 (* Whether a thread at [clock] with [id] runs before [u]: (clock, id) order. *)
 let before clock id u = clock < u.clock || (clock = u.clock && id < u.id)
@@ -163,12 +191,14 @@ let handler s t =
               t.clock <- t.clock + max 0 n;
               t.state <- Paused k;
               push_ready s t)
-        | Wait (pred, label) ->
+        | Wait (pred, label, on) ->
           Some
             (fun k ->
               if pred () then continue k ()
               else begin
-                t.state <- Waiting { pred; label; k };
+                t.state <- Waiting { pred; label; on; k };
+                t.blocked <- true;
+                t.seen <- on.rung;
                 add_waiter s t
               end)
         | Spawn (daemon, name, f) ->
@@ -177,7 +207,8 @@ let handler s t =
               let id = s.next_id in
               s.next_id <- id + 1;
               let nt =
-                { id; name; daemon; clock = t.clock; state = Not_started f; blocked = false }
+                { id; name; daemon; clock = t.clock; state = Not_started f; blocked = false;
+                  seen = 0 }
               in
               Trace.note_thread ~tid:id name;
               Trace.instant_at ~ts:t.clock ~tid:t.id ~cat:"sched" "spawn" id;
@@ -195,14 +226,24 @@ let absorb_new s =
     s.rev_new <- []
   end
 
-(* Evaluate each waiter's predicate exactly once, caching the verdict in
+(* Evaluate each waiter's predicate at most once, caching the verdict in
    [blocked], and note the least runnable waiter and how many are
-   runnable.  Allocates nothing. *)
+   runnable.  A belled waiter whose predicate read false when its bell
+   stood where it stands now is skipped: nothing it reads has changed, so
+   it would read false again.  Allocates nothing. *)
 let poll s =
   let best = ref (-1) and runnable = ref 0 in
   for i = 0 to s.nwaiters - 1 do
     let t = s.waiters.(i) in
-    (match t.state with Waiting { pred; _ } -> t.blocked <- not (pred ()) | _ -> ());
+    (match t.state with
+    | Waiting { pred; on; label; _ } ->
+      if on == unbelled then t.blocked <- not (pred ())
+      else if on.rung <> t.seen then begin
+        t.blocked <- not (pred ());
+        if t.blocked then t.seen <- on.rung
+      end
+      else if !auditing && pred () then missed label
+    | _ -> ());
     if not t.blocked then begin
       incr runnable;
       if !best < 0 || earlier t s.waiters.(!best) then best := i
@@ -341,7 +382,7 @@ let run ?(trace = false) ?(strategy = Min_clock) main =
   in
   push_ready s
     { id = 0; name = "main"; daemon = false; clock = 0; state = Not_started main;
-      blocked = false };
+      blocked = false; seen = 0 };
   current := Some s;
   let release () = current := None in
   (try
@@ -391,11 +432,24 @@ let advance n =
 
 let yield () = advance 1
 
-let wait_until ?(label = "?") pred =
-  try Effect.perform (Wait (pred, label))
+let wait_until ?(on = unbelled) ?(label = "?") pred =
+  try Effect.perform (Wait (pred, label, on))
   with Effect.Unhandled _ ->
     if not (pred ()) then
       raise (Deadlock (Printf.sprintf "wait_until %S outside a simulation" label))
+
+let audit f =
+  auditing := true;
+  first_miss := None;
+  let result =
+    Fun.protect
+      ~finally:(fun () -> auditing := false)
+      (fun () -> try Ok (f ()) with e -> Error e)
+  in
+  match (!first_miss, result) with
+  | Some label, _ -> raise (Missed_ring label)
+  | None, Ok r -> r
+  | None, Error e -> raise e
 
 let now () = perform_default Now 0
 

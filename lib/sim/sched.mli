@@ -15,8 +15,9 @@
 
     One scheduling step costs O(waiters + log ready threads), not O(all
     threads): paused and not-yet-started threads wait in a min-heap on
-    [(clock, id)], and only the threads blocked in {!wait_until} are polled
-    at every step. *)
+    [(clock, id)], and only the threads blocked in {!wait_until} are
+    visited at every step — and of those, only the ones whose {!bell} rang
+    have their predicate evaluated. *)
 
 exception Deadlock of string
 (** Raised when no thread can make progress: every live non-daemon thread is
@@ -81,23 +82,63 @@ val advance : int -> unit
 val yield : unit -> unit
 (** [yield ()] is [advance 1]: the minimal preemption point. *)
 
-val wait_until : ?label:string -> (unit -> bool) -> unit
+(** {1 Waiting}
+
+    A wait names the state it reads with a {e bell}: a stamp that every
+    writer of that state rings.  The scheduler re-evaluates a belled
+    waiter's predicate only once its bell has rung since the predicate last
+    read false; an unbelled waiter is re-evaluated at every step. *)
+
+type bell
+
+val bell : unit -> bell
+(** A fresh bell. *)
+
+val ring : bell -> unit
+(** [ring b] marks the state behind [b] as changed: the next scheduling
+    step re-evaluates every waiter on [b].  Costs one increment; ringing
+    when nothing a waiter reads has changed is harmless. *)
+
+val wait_until : ?on:bell -> ?label:string -> (unit -> bool) -> unit
 (** [wait_until p] blocks the calling thread until [p ()] is true.  [p] must
     be a pure read of shared state.  While blocked, the thread's clock
     follows simulated time.  Outside {!run}, returns immediately if [p ()]
     holds and raises {!Deadlock} otherwise.
 
-    The scheduler evaluates [p] at most once per scheduling step, and an
-    unspecified number of times overall: every step re-polls every blocked
-    thread, so predicates are the simulator's hottest host code.  Besides
-    being pure, [p] should neither allocate nor scan unbounded state.  [p]
-    must not call {!now}, {!self}, {!advance} or {!spawn}: it runs on the
-    scheduler's stack or inside whichever thread is advancing, so those
-    would answer for, or act on, the wrong thread.  The
-    known scans are the serving session's ["serve window"] and
-    ["serve tail"] waits (over the session's descriptor slots) and the
-    shard replay gate's [Dudetm_shard.Frontier.is_durable_upto] (over the
-    cross-shard sets above the published frontier). *)
+    The scheduler evaluates [p] at most once per scheduling step.  Without
+    [on], every step re-polls it; with [on = b], a step skips it while [b]
+    has not rung since [p] last read false, and the thread stays blocked.
+    The ring contract makes the skip exact: {b every write to state that
+    [p] reads rings [b] before the writer's next scheduling point}
+    ({!advance}, {!yield}, {!wait_until}).  A skipped predicate would then
+    read false anyway, so the schedule is the one the every-step poll
+    gives, under {!Min_clock} and {!Choice} alike.  A write that can only
+    make [p] false need not ring.  Waits on state that changes without a
+    ring — simulated time, or state owned by code that does not know the
+    bell — stay unbelled.  {!audit} checks the contract.
+
+    Predicates are still the simulator's hottest host code: unbelled
+    ones run every step, belled ones after every ring.  Besides being
+    pure, [p] should neither allocate
+    nor scan unbounded state.  [p] must not call {!now}, {!self},
+    {!advance} or {!spawn}: it runs on the scheduler's stack or inside
+    whichever thread is advancing, so those would answer for, or act on,
+    the wrong thread.  The known scans are the serving session's
+    ["serve window"] and ["serve tail"] waits (over the session's
+    descriptor slots) and the shard replay gate's
+    [Dudetm_shard.Frontier.is_durable_upto] (over the cross-shard sets
+    above the published frontier). *)
+
+exception Missed_ring of string
+(** Raised by {!audit}; the payload is the wait's label. *)
+
+val audit : (unit -> 'a) -> 'a
+(** [audit f] runs [f] (which may call {!run} any number of times) with
+    the reference poll: at every step the scheduler also re-evaluates each
+    waiter its bell let it skip, and raises {!Missed_ring} naming the wait
+    if that predicate reads true — a write that did not ring the bell.
+    The schedule is unchanged.  A miss is raised from [audit] even if the
+    simulated code swallowed the first raise.  For tests. *)
 
 val now : unit -> int
 (** Current local clock of the calling thread (0 outside {!run}). *)

@@ -308,7 +308,7 @@ let stats tm = tm.stats
 
 type ro = tx
 
-let run_ro ?pin ?validate_extension:_ ?on_retry tm f =
+let run_ro ?pin ?pin_bell ?validate_extension:_ ?on_retry tm f =
   match run ?on_retry tm f with
   | None -> None
   | Some (v, _tid) ->
@@ -321,7 +321,7 @@ let run_ro ?pin ?validate_extension:_ ?on_retry tm f =
          crash-surviving when it returns.  Bounded by the group-commit
          deadline. *)
       if w () < epoch then
-        Sched.wait_until ~label:"htm ro durable pin" (fun () -> w () >= epoch));
+        Sched.wait_until ?on:pin_bell ~label:"htm ro durable pin" (fun () -> w () >= epoch));
     Stats.incr tm.stats "snapshot_commits";
     Some (v, epoch)
 

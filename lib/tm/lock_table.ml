@@ -4,8 +4,6 @@
 
 type t = { words : int array; mask : int }
 
-type word = Version of int | Owned of int
-
 (* 2^20 stripes: large transactions (TPC-C reads ~300 words) need a sparse
    table or stripe-hash false conflicts dominate the abort rate; real
    TinySTM defaults to 2^22 locks. *)
@@ -22,9 +20,11 @@ let stripe_of_addr t addr =
   let w = addr lsr 3 in
   (w lxor (w lsr 13)) land t.mask
 
-let read_word t stripe =
-  let w = t.words.(stripe) in
-  if w land 1 = 0 then Version (w lsr 1) else Owned (w lsr 1)
+let word t stripe = t.words.(stripe)
+
+let owned w = w land 1 = 1
+
+let value w = w lsr 1
 
 let acquire t ~stripe ~uid =
   let w = t.words.(stripe) in

@@ -7,10 +7,6 @@
 
 type t
 
-type word =
-  | Version of int  (** free; version of the last committing writer *)
-  | Owned of int  (** locked by the attempt with this uid *)
-
 val create : ?bits:int -> unit -> t
 (** [create ~bits ()] makes a table of [2^bits] stripes (default 20). *)
 
@@ -19,14 +15,22 @@ val stripes : t -> int
 val stripe_of_addr : t -> int -> int
 (** Map a byte address of an aligned word to its stripe. *)
 
-val read_word : t -> int -> word
-(** [read_word t stripe]. *)
+val word : t -> int -> int
+(** [word t stripe] is the stripe's lock word, read without allocating:
+    decode it with {!owned} and {!value}. *)
+
+val owned : int -> bool
+(** Whether a lock word is owned by a running attempt (else it is free). *)
+
+val value : int -> int
+(** A lock word's payload: the version of the last committing writer if
+    the stripe is free, the owning attempt's uid if it is owned. *)
 
 val acquire : t -> stripe:int -> uid:int -> int option
 (** Try to lock the stripe for attempt [uid].  Returns [Some v] (the
     previous version, needed to restore on abort) on success, [None] if the
     stripe is owned by another attempt.  Re-acquiring a stripe already owned
-    by [uid] returns [None] — callers must check {!read_word} first. *)
+    by [uid] returns [None] — callers must check {!word} first. *)
 
 val release_to : t -> stripe:int -> version:int -> unit
 (** Unlock a stripe, installing [version] (commit) or restoring the saved

@@ -37,6 +37,7 @@ type handle = {
 type ro = {
   h : handle;
   pin : (unit -> int) option;
+  pin_bell : Sched.bell option;  (* rung whenever the pinned watermark may rise *)
   validate_ext : bool;
   mutable epoch : int;
   mutable reads : (int * int) list;  (* (stripe, observed version) *)
@@ -44,7 +45,7 @@ type ro = {
   reads_c : Stats.cell;  (* "snapshot_reads", resolved once per snapshot *)
 }
 
-let begin_ro ?pin ?(validate_extension = true) h =
+let begin_ro ?pin ?pin_bell ?(validate_extension = true) h =
   Sched.advance h.h_costs.Tm_intf.begin_cost;
   let epoch =
     match pin with
@@ -56,6 +57,7 @@ let begin_ro ?pin ?(validate_extension = true) h =
   {
     h;
     pin;
+    pin_bell;
     validate_ext = validate_extension;
     epoch;
     reads = [];
@@ -73,9 +75,8 @@ let read_set_size ro = List.length ro.reads
 let validate ro =
   List.for_all
     (fun (stripe, v) ->
-      match Lock_table.read_word ro.h.h_locks stripe with
-      | Lock_table.Version cur -> cur = v
-      | Lock_table.Owned _ -> false)
+      let w = Lock_table.word ro.h.h_locks stripe in
+      (not (Lock_table.owned w)) && Lock_table.value w = v)
     ro.reads
 
 let restart ro =
@@ -98,7 +99,7 @@ let extend ro ~need =
   | None -> ()
   | Some w ->
     if w () < need then
-      Sched.wait_until ~label:"snapshot durable pin" (fun () -> w () >= need));
+      Sched.wait_until ?on:ro.pin_bell ~label:"snapshot durable pin" (fun () -> w () >= need));
   let target =
     match ro.pin with
     | None -> ro.h.h_clock ()
@@ -114,31 +115,33 @@ let read ro addr =
   Trace.sample ~cat:"snapshot" "read" ro.h.h_costs.Tm_intf.read_cost;
   let stripe = Lock_table.stripe_of_addr ro.h.h_locks addr in
   let rec go () =
-    match Lock_table.read_word ro.h.h_locks stripe with
-    | Lock_table.Owned _ ->
+    let w = Lock_table.word ro.h.h_locks stripe in
+    if Lock_table.owned w then begin
       (* A writer holds the stripe (store may carry uncommitted data).
          Wait for the release — bounded by that writer's commit/abort —
          without touching the lock word ourselves. *)
       Sched.wait_until ~label:"snapshot stripe owned" (fun () ->
-          match Lock_table.read_word ro.h.h_locks stripe with
-          | Lock_table.Owned _ -> false
-          | Lock_table.Version _ -> true);
+          not (Lock_table.owned (Lock_table.word ro.h.h_locks stripe)));
       go ()
-    | Lock_table.Version v when v <= ro.epoch ->
+    end
+    else if Lock_table.value w <= ro.epoch then begin
       let value = ro.h.h_load addr in
       (* The load may yield (paged shadow access costs, swap-in waits), so
          re-check the lock word afterwards: if a writer slipped in, the
          loaded value may be newer than the recorded version — retry the
-         read rather than record a lie. *)
-      (match Lock_table.read_word ro.h.h_locks stripe with
-      | Lock_table.Version v2 when v2 = v ->
-        ro.reads <- (stripe, v) :: ro.reads;
+         read rather than record a lie.  An unchanged word is free and
+         carries the same version. *)
+      if Lock_table.word ro.h.h_locks stripe = w then begin
+        ro.reads <- (stripe, Lock_table.value w) :: ro.reads;
         value
-      | _ -> go ())
-    | Lock_table.Version v ->
-      extend ro ~need:v;
+      end
+      else go ()
+    end
+    else begin
+      extend ro ~need:(Lock_table.value w);
       (* Extension may have yielded (durable pin): re-examine the stripe. *)
       go ()
+    end
   in
   go ()
 
@@ -152,10 +155,10 @@ let finish ro =
   ro.active <- false;
   ro.epoch
 
-let run ?pin ?validate_extension ?(on_retry = fun () -> ()) h f =
+let run ?pin ?pin_bell ?validate_extension ?(on_retry = fun () -> ()) h f =
   let rec attempt round =
     Trace.span_begin ~cat:"snapshot" "ro";
-    let ro = begin_ro ?pin ?validate_extension h in
+    let ro = begin_ro ?pin ?pin_bell ?validate_extension h in
     match f ro with
     | result ->
       let final = finish ro in

@@ -38,8 +38,12 @@ type handle = {
 type ro
 (** A running read-only snapshot. *)
 
-val begin_ro : ?pin:(unit -> int) -> ?validate_extension:bool -> handle -> ro
-(** Open a snapshot.  [pin] selects durable-only mode; [validate_extension]
+val begin_ro :
+  ?pin:(unit -> int) -> ?pin_bell:Dudetm_sim.Sched.bell -> ?validate_extension:bool -> handle -> ro
+(** Open a snapshot.  [pin] selects durable-only mode; [pin_bell], when
+    given, is a bell rung on every write that may raise the pinned
+    watermark, so a read waiting for it sleeps until then
+    ({!Dudetm_sim.Sched.wait_until}); [validate_extension]
     (default [true]) exists only so the seeded [Skip_snapshot_validate]
     mutant can omit the read-set revalidation on extension. *)
 
@@ -62,6 +66,7 @@ val finish : ro -> int
 
 val run :
   ?pin:(unit -> int) ->
+  ?pin_bell:Dudetm_sim.Sched.bell ->
   ?validate_extension:bool ->
   ?on_retry:(unit -> unit) ->
   handle ->

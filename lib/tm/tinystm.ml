@@ -84,12 +84,11 @@ let conflict tx =
 let validate tx =
   List.for_all
     (fun (stripe, v) ->
-      match Lock_table.read_word tx.tm.locks stripe with
-      | Lock_table.Version cur -> cur = v
-      | Lock_table.Owned uid ->
-        uid = tx.uid && (match Hashtbl.find_opt tx.owned stripe with
-                        | Some prev -> prev = v
-                        | None -> false))
+      let w = Lock_table.word tx.tm.locks stripe in
+      if not (Lock_table.owned w) then Lock_table.value w = v
+      else
+        Lock_table.value w = tx.uid
+        && (match Hashtbl.find_opt tx.owned stripe with Some prev -> prev = v | None -> false))
     tx.reads
 
 let read tx addr =
@@ -97,10 +96,11 @@ let read tx addr =
   Sched.advance tx.tm.costs.Tm_intf.read_cost;
   Stats.bump tx.tm.reads_c;
   let stripe = Lock_table.stripe_of_addr tx.tm.locks addr in
-  match Lock_table.read_word tx.tm.locks stripe with
-  | Lock_table.Owned uid when uid = tx.uid -> tx.tm.store.Tm_intf.load addr
-  | Lock_table.Owned _ -> conflict tx
-  | Lock_table.Version v ->
+  let w = Lock_table.word tx.tm.locks stripe in
+  if Lock_table.owned w then
+    if Lock_table.value w = tx.uid then tx.tm.store.Tm_intf.load addr else conflict tx
+  else
+    let v = Lock_table.value w in
     let value = tx.tm.store.Tm_intf.load addr in
     if v > tx.rv then
       (* Snapshot extension: the word committed after our snapshot; if the
@@ -115,15 +115,14 @@ let write tx addr value =
   Sched.advance tx.tm.costs.Tm_intf.write_cost;
   Stats.bump tx.tm.writes_c;
   let stripe = Lock_table.stripe_of_addr tx.tm.locks addr in
-  (match Lock_table.read_word tx.tm.locks stripe with
-  | Lock_table.Owned uid when uid = tx.uid -> ()
-  | Lock_table.Owned _ -> conflict tx
-  | Lock_table.Version _ -> (
+  let w = Lock_table.word tx.tm.locks stripe in
+  if Lock_table.owned w then (if Lock_table.value w <> tx.uid then conflict tx)
+  else (
     match Lock_table.acquire tx.tm.locks ~stripe ~uid:tx.uid with
     | Some prev ->
       Hashtbl.add tx.owned stripe prev;
       tx.acquired <- stripe :: tx.acquired
-    | None -> conflict tx));
+    | None -> conflict tx);
   tx.undo <- (addr, tx.tm.store.Tm_intf.load addr) :: tx.undo;
   tx.tm.store.Tm_intf.store addr value;
   tx.nwrites <- tx.nwrites + 1
@@ -214,8 +213,8 @@ let snapshot_handle tm =
     h_rng = tm.rng;
   }
 
-let run_ro ?pin ?validate_extension ?on_retry tm f =
-  Snapshot.run ?pin ?validate_extension ?on_retry (snapshot_handle tm) f
+let run_ro ?pin ?pin_bell ?validate_extension ?on_retry tm f =
+  Snapshot.run ?pin ?pin_bell ?validate_extension ?on_retry (snapshot_handle tm) f
 
 let ro_read = Snapshot.read
 

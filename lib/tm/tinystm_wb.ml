@@ -63,9 +63,8 @@ let conflict tx =
 let validate tx =
   List.for_all
     (fun (stripe, v) ->
-      match Lock_table.read_word tx.tm.locks stripe with
-      | Lock_table.Version cur -> cur = v
-      | Lock_table.Owned uid -> uid = tx.uid)
+      let w = Lock_table.word tx.tm.locks stripe in
+      if Lock_table.owned w then Lock_table.value w = tx.uid else Lock_table.value w = v)
     tx.reads
 
 let read tx addr =
@@ -78,9 +77,10 @@ let read tx addr =
   | Some v -> v
   | None -> (
     let stripe = Lock_table.stripe_of_addr tx.tm.locks addr in
-    match Lock_table.read_word tx.tm.locks stripe with
-    | Lock_table.Owned _ -> conflict tx
-    | Lock_table.Version v ->
+    let w = Lock_table.word tx.tm.locks stripe in
+    if Lock_table.owned w then conflict tx
+    else
+      let v = Lock_table.value w in
       let value = tx.tm.store.Tm_intf.load addr in
       if v > tx.rv then
         if validate tx then tx.rv <- tx.tm.clock else conflict tx;
@@ -135,9 +135,8 @@ let commit tx =
              match List.assoc_opt stripe !acquired with
              | Some prev -> prev = v
              | None -> (
-               match Lock_table.read_word tm.locks stripe with
-               | Lock_table.Version cur -> cur = v
-               | Lock_table.Owned _ -> false))
+               let w = Lock_table.word tm.locks stripe in
+               (not (Lock_table.owned w)) && Lock_table.value w = v))
            tx.reads
     in
     if not valid then begin
@@ -216,8 +215,8 @@ let snapshot_handle tm =
     h_rng = tm.rng;
   }
 
-let run_ro ?pin ?validate_extension ?on_retry tm f =
-  Snapshot.run ?pin ?validate_extension ?on_retry (snapshot_handle tm) f
+let run_ro ?pin ?pin_bell ?validate_extension ?on_retry tm f =
+  Snapshot.run ?pin ?pin_bell ?validate_extension ?on_retry (snapshot_handle tm) f
 
 let ro_read = Snapshot.read
 

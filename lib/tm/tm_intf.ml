@@ -94,6 +94,7 @@ module type S = sig
 
   val run_ro :
     ?pin:(unit -> int) ->
+    ?pin_bell:Dudetm_sim.Sched.bell ->
     ?validate_extension:bool ->
     ?on_retry:(unit -> unit) ->
     t ->
@@ -104,7 +105,9 @@ module type S = sig
       read-set is consistent at, or [None] if [f] called {!ro_abort}.
       [pin] caps the epoch at an externally supplied watermark (the
       durable-only mode: reads observing newer state wait for the
-      watermark to catch up).  [validate_extension = false] is reserved
+      watermark to catch up); [pin_bell], when given, is rung on every
+      write that may raise that watermark, so the wait sleeps until then.
+      [validate_extension = false] is reserved
       for the seeded [Skip_snapshot_validate] checker mutant. *)
 
   val ro_read : ro -> int -> int64

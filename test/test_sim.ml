@@ -498,6 +498,76 @@ let test_pick_allocation_free () =
   check (Alcotest.float 0.01) "words per step with 40 waiters" (words_per_step 0)
     (words_per_step 40)
 
+(* A waiter on a bell wakes at the step and clock of the same waiter
+   polled every step, under Min_clock and under a Choice strategy: the
+   writer rings after each write, and the unrelated ticker's steps are the
+   ones the bell lets the scheduler skip. *)
+let bell_run ?(evals = ref 0) ~belled strategy =
+  let log = Buffer.create 256 in
+  let note () = Printf.bprintf log "%d@%d;" (Sched.self ()) (Sched.now ()) in
+  let b = Sched.bell () in
+  let x = ref 0 in
+  let on = if belled then Some b else None in
+  let total =
+    Sched.run ~strategy (fun () ->
+        for i = 1 to 3 do
+          ignore
+            (Sched.spawn (Printf.sprintf "waiter%d" i) (fun () ->
+                 Sched.wait_until ?on ~label:"x" (fun () ->
+                     incr evals;
+                     !x >= i * 3);
+                 note ()))
+        done;
+        ignore
+          (Sched.spawn "ticker" (fun () ->
+               for _ = 1 to 40 do
+                 Sched.advance 3;
+                 note ()
+               done));
+        ignore
+          (Sched.spawn "writer" (fun () ->
+               for _ = 1 to 10 do
+                 Sched.advance 7;
+                 incr x;
+                 Sched.ring b;
+                 note ()
+               done)))
+  in
+  Printf.sprintf "%d|%s" total (Buffer.contents log)
+
+let test_bell_same_schedule () =
+  List.iter
+    (fun (what, strategy) ->
+      let polled_evals = ref 0 and belled_evals = ref 0 in
+      let polled = bell_run ~evals:polled_evals ~belled:false strategy in
+      let belled = bell_run ~evals:belled_evals ~belled:true strategy in
+      check Alcotest.string what polled belled;
+      check Alcotest.string (what ^ ", audited") polled
+        (Sched.audit (fun () -> bell_run ~belled:true strategy));
+      check Alcotest.bool
+        (Printf.sprintf "%s: %d belled evaluations < %d polled" what !belled_evals !polled_evals)
+        true
+        (!belled_evals < !polled_evals))
+    [ ("min clock", Sched.min_clock); ("random priority", Sched.random_priority ~seed:7) ]
+
+(* A write that does not ring the bell its waiter sleeps on is reported by
+   the audit, naming the wait. *)
+let test_audit_reports_missed_ring () =
+  let unrung () =
+    let b = Sched.bell () in
+    let flag = ref false in
+    ignore
+      (Sched.run (fun () ->
+           ignore
+             (Sched.spawn "waiter" (fun () ->
+                  Sched.wait_until ~on:b ~label:"unrung flag" (fun () -> !flag)));
+           Sched.advance 10;
+           flag := true;
+           Sched.advance 10))
+  in
+  Alcotest.check_raises "missed ring" (Sched.Missed_ring "unrung flag") (fun () ->
+      Sched.audit unrung)
+
 let suite =
   [
     Alcotest.test_case "single thread accumulates time" `Quick test_single_thread_time;
@@ -512,6 +582,8 @@ let suite =
     Alcotest.test_case "golden schedule at serving scale" `Quick test_serving_schedule;
     Alcotest.test_case "golden no-switch schedules" `Quick test_noswitch_schedules;
     Alcotest.test_case "min-clock pick allocates nothing" `Quick test_pick_allocation_free;
+    Alcotest.test_case "belled waiter wakes like a polled one" `Quick test_bell_same_schedule;
+    Alcotest.test_case "audit reports a missed ring" `Quick test_audit_reports_missed_ring;
     Alcotest.test_case "helpers degrade gracefully outside run" `Quick test_outside_run_fallbacks;
     Alcotest.test_case "rng int bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;

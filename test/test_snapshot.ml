@@ -367,6 +367,45 @@ let test_replica_quorum_reads () =
          | None -> Alcotest.fail "pinned snapshot aborted");
          Rep.stop cluster))
 
+(* A durable-pinned read of a value committed during a partition waits at
+   the pin, and wakes once the healed links raise the quorum watermark —
+   with no further commit on the primary to wake it. *)
+let test_pin_waits_out_partition () =
+  let rcfg = { (Rep.default_config ~nreplicas:2 ()) with Rep.link = fast_link } in
+  let cluster = Rep.create ~rcfg rep_cfg in
+  let prim = Rep.primary cluster in
+  let heal_at = ref 0 and read_at = ref 0 and read = ref 0L in
+  ignore
+    (Sched.run (fun () ->
+         Rep.start cluster;
+         ignore (E.atomically prim ~thread:0 (fun tx -> E.write tx hot 1L));
+         ignore (Rep.drain cluster);
+         for r = 0 to Rep.nreplicas cluster - 1 do
+           Rep.set_partitioned cluster r true
+         done;
+         ignore (E.atomically prim ~thread:0 (fun tx -> E.write tx hot 2L));
+         Sched.wait_until ~label:"primary-local durability" (fun () ->
+             E.durable_id prim >= E.last_tid prim);
+         let done_ = ref false in
+         ignore
+           (Sched.spawn "pinned reader" (fun () ->
+                (match
+                   Rep.atomically_ro ~durable:true cluster ~thread:1 (fun tx -> E.read tx hot)
+                 with
+                | Some (v, _) -> read := v
+                | None -> Alcotest.fail "pinned snapshot aborted");
+                read_at := Sched.now ();
+                done_ := true));
+         Sched.advance 100_000;
+         heal_at := Sched.now ();
+         for r = 0 to Rep.nreplicas cluster - 1 do
+           Rep.set_partitioned cluster r false
+         done;
+         Sched.wait_until ~label:"pinned reader" (fun () -> !done_);
+         Rep.stop cluster));
+  check Alcotest.int64 "the pinned read returns the partitioned commit" 2L !read;
+  check Alcotest.bool "and only after the heal" true (!read_at > !heal_at)
+
 (* ------------------ properties over scheduler seeds ---------------------- *)
 
 let npairs = 2
@@ -590,6 +629,8 @@ let suite =
       test_mid_migration_reads;
     Alcotest.test_case "snapshot: quorum-pinned reads on a replicated cluster" `Quick
       test_replica_quorum_reads;
+    Alcotest.test_case "snapshot: a pinned read waits out a partition" `Quick
+      test_pin_waits_out_partition;
     Alcotest.test_case "snapshot: Skip_snapshot_validate mutant tears" `Quick
       test_mutant_tears;
     Alcotest.test_case "snapshot: validation prevents the tear" `Quick

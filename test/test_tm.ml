@@ -17,20 +17,20 @@ let check = Alcotest.check
 let test_lock_table_acquire_release () =
   let t = Lock_table.create ~bits:4 () in
   let s = Lock_table.stripe_of_addr t 64 in
-  (match Lock_table.read_word t s with
-  | Lock_table.Version 0 -> ()
-  | _ -> Alcotest.fail "fresh stripe should be Version 0");
+  let w = Lock_table.word t s in
+  check Alcotest.(pair bool int) "fresh stripe is free at version 0" (false, 0)
+    (Lock_table.owned w, Lock_table.value w);
   (match Lock_table.acquire t ~stripe:s ~uid:7 with
   | Some 0 -> ()
   | _ -> Alcotest.fail "acquire should return previous version 0");
-  (match Lock_table.read_word t s with
-  | Lock_table.Owned 7 -> ()
-  | _ -> Alcotest.fail "stripe should be owned by 7");
+  let w = Lock_table.word t s in
+  check Alcotest.(pair bool int) "stripe owned by 7" (true, 7)
+    (Lock_table.owned w, Lock_table.value w);
   check Alcotest.bool "second acquire fails" true (Lock_table.acquire t ~stripe:s ~uid:8 = None);
   Lock_table.release_to t ~stripe:s ~version:42;
-  match Lock_table.read_word t s with
-  | Lock_table.Version 42 -> ()
-  | _ -> Alcotest.fail "release installs the version"
+  let w = Lock_table.word t s in
+  check Alcotest.(pair bool int) "release installs the version" (false, 42)
+    (Lock_table.owned w, Lock_table.value w)
 
 let test_lock_table_stripe_mapping () =
   let t = Lock_table.create ~bits:8 () in
